@@ -11,11 +11,11 @@ import sys
 import numpy as np
 
 from . import evalkit
-from .baselines import IgConfig, ig_completeness_gap, integrated_gradients
+from .baselines import ig_completeness_gap
 from .divergence import divergence_theorem_report
 from .errors import FluxgradError, NoNegativeFlux, NotSmooth
 from .models import evaluate, load_model, save_model
-from .neflag import NeflagConfig, SphereSpec
+from .neflag import SphereSpec
 from .train import fit_toy_model, load_dataset_csv
 
 EXIT_OK = 0
@@ -54,42 +54,46 @@ def _load_model_arg(path):
         raise CliError(f"model: {path} is not a valid model file: {exc}") from exc
 
 
-def _parse_grid(text):
+def _parse_grid(text, size):
+    """The (H, W) of an HxW layout of ``size`` features, or None if not given."""
     if text is None:
         return None
     try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
+        h, w = (int(tok) for tok in text.lower().split("x"))
     except ValueError as exc:
         raise CliError(f"grid: expected HxW, got {text!r}") from exc
+    if h < 1 or w < 1 or h * w != size:
+        raise CliError(f"grid: {text} does not lay out {size} features")
+    return h, w
 
 
-def _method_fn(args):
-    name = args.method
+def _method_fn(name, args):
+    """The attribution method ``name`` configured from the command-line options."""
     if name == "neflag":
-        return evalkit.make_method(
-            name,
-            epsilon=args.epsilon,
-            n_samples=args.samples,
-            max_steps=args.steps,
-            step_rule=args.step_rule,
-        )
-    if name == "ig":
+        params = dict(epsilon=args.epsilon, n_samples=args.samples,
+                      max_steps=args.steps, step_rule=args.step_rule)
+    elif name == "ig":
         baseline = _load_vector(args.baseline) if args.baseline else None
-        return evalkit.make_method(name, steps=args.steps, baseline=baseline)
-    if name == "smoothgrad":
-        return evalkit.make_method(name, sigma=args.sigma, samples=args.samples)
-    if name == "taylor":
-        return evalkit.make_method(name, epsilon=args.epsilon)
-    return evalkit.make_method(name)
+        params = dict(steps=args.steps, baseline=baseline)
+    elif name == "smoothgrad":
+        params = dict(sigma=args.sigma, samples=args.samples)
+    elif name == "taylor":
+        params = dict(epsilon=args.epsilon)
+    else:
+        params = {}
+    try:
+        return evalkit.make_method(name, **params)
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from exc
 
 
 def cmd_attribute(args) -> int:
     model = _load_model_arg(args.model)
     x = _load_vector(args.input)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, x.size)
+    method = _method_fn(args.method, args)
     try:
-        attr = _method_fn(args)(model, x, args.seed)
+        attr = method(model, x, args.seed)
     except NoNegativeFlux as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_NEGATIVE_FLUX
@@ -128,6 +132,8 @@ def cmd_verify(args) -> int:
     except NotSmooth as exc:
         print(f"error: model {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # a non-positive --epsilon or --samples
+        raise CliError(str(exc)) from exc
     with open(args.out, "w") as fh:
         fh.write(report.json_str())
     verdict = "PASS" if report.passed else "FAIL"
@@ -148,18 +154,16 @@ def cmd_eval(args) -> int:
         raise CliError(
             f"input: dataset width {X.shape[1]} does not match model dim {model.dim}"
         )
+    if args.limit < 0:
+        raise CliError("limit: must be >= 0")
     if args.limit:
         X = X[: args.limit]
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
     for name in names:
         if name not in METHODS:
             raise CliError(f"methods: unknown method {name!r}")
-    methods = {}
-    for name in names:
-        ns = argparse.Namespace(**vars(args))
-        ns.method = name
-        methods[name] = _method_fn(ns)
-    cfg = evalkit.EvalConfig(replacement=args.replacement, grid=_parse_grid(args.grid))
+    methods = {name: _method_fn(name, args) for name in names}
+    cfg = evalkit.EvalConfig(replacement=args.replacement, grid=_parse_grid(args.grid, model.dim))
     report = evalkit.benchmark(model, list(X), methods, cfg, seed=args.seed)
     if all(r.samples_ok == 0 for r in report.results):
         print("error: no sample succeeded for any method", file=sys.stderr)
@@ -256,10 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FluxgradError as exc:
+    except (CliError, FluxgradError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

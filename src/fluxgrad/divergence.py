@@ -20,24 +20,8 @@ SUBSETS = ("all", "negative", "positive")
 MODES = ("dot", "elementwise")
 
 
-@dataclass(frozen=True, eq=False)
-class BallSpec:
-    """The solid ball enclosed by an epsilon-sphere."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.ascontiguousarray(np.asarray(self.center, dtype=float))
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
+# The solid ball enclosed by an epsilon-sphere has the same centre and radius.
+BallSpec = SphereSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,11 +171,10 @@ def divergence_theorem_report(
     PASS when the two sides agree within 3 combined standard errors or 2%
     relative (whichever is looser).
     """
-    ball = BallSpec(sphere.center, sphere.radius)
     ss = np.random.SeedSequence(seed)
     kids = ss.spawn(2)
     lhs = volume_divergence_integral(
-        model, ball, samples, np.random.default_rng(kids[0]).integers(2**31), h
+        model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31), h
     )
     rhs = surface_flux_integral(
         model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31)

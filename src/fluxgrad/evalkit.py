@@ -11,10 +11,9 @@ distribution shift both curves share.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .attribution import AttributionMap
 from .baselines import (
@@ -83,6 +82,16 @@ def feature_order(attribution: AttributionMap, absolute: bool = False) -> np.nda
     return np.argsort(-vals, kind="stable")
 
 
+def _box_blur(img, radius):
+    """Mean over each (2r+1) x (2r+1) window, edges extended by their nearest value."""
+    size = 2 * radius + 1
+    for _ in range(2):  # down the columns, then along the rows, via the transpose
+        p = np.pad(img.T, ((0, 0), (radius, radius)), mode="edge")
+        steps = np.concatenate([p[:, :size], p[:, size:] - p[:, :-size]], axis=1)
+        img = np.cumsum(steps, axis=1)[:, size - 1 :] / size
+    return img
+
+
 def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
     """The fully-replaced version of x under the configured mode."""
     x = np.asarray(x, dtype=float)
@@ -94,13 +103,18 @@ def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
             raise DimensionMismatch(f"grid {h}x{w} does not match {x.size} features")
         img = x.reshape(h, w)
         for _ in range(3):
-            img = uniform_filter(img, size=2 * cfg.blur_radius + 1, mode="nearest")
+            img = _box_blur(img, cfg.blur_radius)
         return img.ravel()
     return np.full_like(x, x.mean())
 
 
-def _curves_inputs(x, attribution, cfg, start, target):
-    """Rows of progressively-replaced inputs, shared by both curves."""
+def _curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig, delete: bool) -> EvalCurve:
+    """Scores as features move, best first, from x to the replacement or (insertion) back."""
+    x = np.asarray(x, dtype=float)
+    if x.size != len(attribution) or x.size != model.dim:
+        raise DimensionMismatch("input, attribution, and model dimensions must agree")
+    repl = replacement_input(x, cfg)
+    start, target = (x, repl) if delete else (repl, x)
     order = feature_order(attribution, cfg.absolute)
     n = x.size
     counts = list(range(0, n, cfg.features_per_step)) + [n]
@@ -110,29 +124,18 @@ def _curves_inputs(x, attribution, cfg, start, target):
         idx = order[:k]
         rows[i, idx] = target[idx]
     fractions = np.asarray(counts, dtype=float) / n
-    return fractions, rows
+    scores = evaluate_batch(model, rows)
+    return EvalCurve(fractions, scores, float(np.trapezoid(scores, fractions)))
 
 
 def deletion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as top-attributed features are replaced, best first."""
-    x = np.asarray(x, dtype=float)
-    if x.size != len(attribution) or x.size != model.dim:
-        raise DimensionMismatch("input, attribution, and model dimensions must agree")
-    repl = replacement_input(x, cfg)
-    fractions, rows = _curves_inputs(x, attribution, cfg, start=x, target=repl)
-    scores = evaluate_batch(model, rows)
-    return EvalCurve(fractions, scores, float(np.trapezoid(scores, fractions)))
+    return _curve(model, x, attribution, cfg, delete=True)
 
 
 def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as original features are restored into the replaced input."""
-    x = np.asarray(x, dtype=float)
-    if x.size != len(attribution) or x.size != model.dim:
-        raise DimensionMismatch("input, attribution, and model dimensions must agree")
-    repl = replacement_input(x, cfg)
-    fractions, rows = _curves_inputs(x, attribution, cfg, start=repl, target=x)
-    scores = evaluate_batch(model, rows)
-    return EvalCurve(fractions, scores, float(np.trapezoid(scores, fractions)))
+    return _curve(model, x, attribution, cfg, delete=False)
 
 
 def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
@@ -148,10 +151,7 @@ def two_round_difference(
     """Mean difference score over the black round and the blur/mean round."""
     rounds = []
     for repl in ("black", "blur" if cfg.grid is not None else "mean"):
-        round_cfg = EvalConfig(
-            repl, cfg.features_per_step, cfg.absolute, cfg.grid, cfg.blur_radius
-        )
-        rounds.append(difference_score(model, x, attribution, round_cfg))
+        rounds.append(difference_score(model, x, attribution, replace(cfg, replacement=repl)))
     return float(np.mean(rounds))
 
 
@@ -164,24 +164,30 @@ def make_method(name: str, **params):
 
     Known ids: neflag, ig, smoothgrad, saliency, taylor, random.  ``seed``
     overrides any seed baked into params, so the benchmark can derive
-    per-sample seeds.
+    per-sample seeds.  Invalid params raise ValueError here, not per call.
     """
     if name == "neflag":
+        cfg = NeflagConfig(**params)
+
         def run(model, x, seed):
-            cfg = NeflagConfig(**{**params, "seed": seed})
-            return neflag_attribute(model, x, cfg)
+            return neflag_attribute(model, x, replace(cfg, seed=seed))
     elif name == "ig":
+        cfg = IgConfig(**params)
+
         def run(model, x, seed):
-            return integrated_gradients(model, x, IgConfig(**params))
+            return integrated_gradients(model, x, cfg)
     elif name == "smoothgrad":
+        cfg = SmoothGradConfig(**params)
+
         def run(model, x, seed):
-            cfg = SmoothGradConfig(**{**params, "seed": seed})
-            return smoothgrad(model, x, cfg)
+            return smoothgrad(model, x, replace(cfg, seed=seed))
     elif name == "saliency":
         def run(model, x, seed):
             return saliency(model, x)
     elif name == "taylor":
         epsilon = params.get("epsilon", 0.1)
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
 
         def run(model, x, seed):
             point = sample_sphere(SphereSpec(np.asarray(x, dtype=float), epsilon), seed)

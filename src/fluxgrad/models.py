@@ -23,13 +23,27 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, softmax
 
 from .errors import DimensionMismatch, NonFiniteInput
 
 ACTIVATIONS = ("relu", "tanh", "softplus", "identity")
 HEADS = ("identity", "sigmoid", "softmax")
 KINDS = ("linear", "quadratic", "gauss-mixture", "mlp")
+
+
+def expit(z):
+    """Logistic sigmoid 1 / (1 + exp(-z)), elementwise.
+
+    The exponent is capped at 709 so that exp cannot overflow; the cap only
+    touches z < -709, where the result is already subnormal (~1.2e-308).
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 709.0)))
+
+
+def softmax(z):
+    """exp(z) normalized to sum to 1 along the last axis, max-shifted first."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _act(name, z):
@@ -220,34 +234,42 @@ def _mlp_forward(params: MlpParams, xs):
     return a, pre
 
 
-def _mlp_input_grad(params: MlpParams, xs, cotangent):
-    """Backpropagate a (n, K) cotangent on the logits to the inputs."""
-    _, pre = _mlp_forward(params, xs)
+def _mlp_backward(params: MlpParams, pre, cotangent):
+    """Backpropagate a (n, K) cotangent on the logits of :func:`_mlp_forward`.
+
+    Returns the cotangent on the inputs and, first layer first, the one on
+    each layer's pre-activations, ``dz``.  A layer's weight gradient is
+    ``dz.T @ layer_input`` and its bias gradient ``dz.sum(axis=0)``.
+    """
+    dzs = []
     delta = cotangent
     for layer, z in zip(reversed(params.layers), reversed(pre)):
-        delta = (delta * _act_deriv(layer.activation, z)) @ layer.weight
-    return delta
+        dz = delta * _act_deriv(layer.activation, z)
+        dzs.append(dz)
+        delta = dz @ layer.weight
+    return delta, dzs[::-1]
 
 
 def _raw_batch(model: Model, xs):
-    """Raw output before the head: (n,) scalar kinds, (n, K) for mlp."""
+    """Raw (n, K) output before the head, plus the pre-activations of an mlp."""
     p = model.params
+    if model.kind == "mlp":
+        return _mlp_forward(p, xs)
     if model.kind == "linear":
-        return xs @ p.a + p.b
-    if model.kind == "quadratic":
-        return 0.5 * np.sum(p.lam * (xs - p.c) ** 2, axis=1)
-    if model.kind == "gauss-mixture":
+        raw = xs @ p.a + p.b
+    elif model.kind == "quadratic":
+        raw = 0.5 * np.sum(p.lam * (xs - p.c) ** 2, axis=1)
+    else:
         d2 = ((xs[:, None, :] - p.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.sum(p.weights * np.exp(-d2 / (2.0 * p.sigmas**2)), axis=1)
-    logits, _ = _mlp_forward(p, xs)
-    return logits
+        raw = np.sum(p.weights * np.exp(-d2 / (2.0 * p.sigmas**2)), axis=1)
+    return raw[:, None], None
 
 
-def _raw_grad_batch(model: Model, xs, cotangent):
+def _raw_grad_batch(model: Model, xs, pre, cotangent):
     """Gradient of (cotangent . raw output) w.r.t. the inputs, per row."""
     p = model.params
     if model.kind == "mlp":
-        return _mlp_input_grad(p, xs, cotangent)
+        return _mlp_backward(p, pre, cotangent)[0]
     scale = cotangent[:, 0][:, None]
     if model.kind == "linear":
         return scale * p.a
@@ -261,27 +283,22 @@ def _raw_grad_batch(model: Model, xs, cotangent):
 
 def evaluate_batch(model: Model, xs) -> np.ndarray:
     """Model output after the head for every row of xs; shape (n,)."""
-    xs = _check_batch(model, xs)
-    raw = _raw_batch(model, xs)
+    raw, _ = _raw_batch(model, _check_batch(model, xs))
     h = model.head
-    if model.kind != "mlp":
-        raw = raw[:, None]
     if h.type == "identity":
         return raw[:, 0]
     if h.type == "sigmoid":
         return expit(raw[:, 0])
     if h.use_logit:
         return raw[:, h.target]
-    return softmax(raw, axis=1)[:, h.target]
+    return softmax(raw)[:, h.target]
 
 
 def gradient_batch(model: Model, xs) -> np.ndarray:
     """Gradient of the headed output for every row of xs; shape (n, N)."""
     xs = _check_batch(model, xs)
-    raw = _raw_batch(model, xs)
+    raw, pre = _raw_batch(model, xs)
     h = model.head
-    if model.kind != "mlp":
-        raw = raw[:, None]
     if h.type == "identity":
         cot = np.ones_like(raw)
     elif h.type == "sigmoid":
@@ -291,11 +308,11 @@ def gradient_batch(model: Model, xs) -> np.ndarray:
         cot = np.zeros_like(raw)
         cot[:, h.target] = 1.0
     else:
-        probs = softmax(raw, axis=1)
+        probs = softmax(raw)
         pt = probs[:, h.target]
         cot = -pt[:, None] * probs
         cot[:, h.target] += pt
-    return _raw_grad_batch(model, xs, cot)
+    return _raw_grad_batch(model, xs, pre, cot)
 
 
 def evaluate(model: Model, x) -> float:
@@ -430,24 +447,28 @@ def model_from_json(doc: dict) -> Model:
     kind = doc["kind"]
     params = doc["params"]
     if kind == "linear":
-        return linear_model(params["a"], params.get("b", 0.0), head)
-    if kind == "quadratic":
-        return quadratic_model(params["lambda"], params["c"], head)
-    if kind == "gauss-mixture":
+        model = linear_model(params["a"], params.get("b", 0.0), head)
+    elif kind == "quadratic":
+        model = quadratic_model(params["lambda"], params["c"], head)
+    elif kind == "gauss-mixture":
         comps = params["components"]
-        return gauss_mixture_model(
+        model = gauss_mixture_model(
             [c["weight"] for c in comps],
             np.array([c["center"] for c in comps]),
             [c["sigma"] for c in comps],
             head,
         )
-    if kind == "mlp":
+    elif kind == "mlp":
         layers = [
             Layer(np.array(s["W"]), np.array(s["b"]), s["activation"])
             for s in params["layers"]
         ]
-        return mlp_model(layers, head)
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = mlp_model(layers, head)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if doc.get("dim", model.dim) != model.dim:
+        raise ValueError(f"dim {doc['dim']} does not match the parameters' {model.dim} inputs")
+    return model
 
 
 def save_model(model: Model, path) -> None:

@@ -9,9 +9,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, softmax
 
-from .models import Head, Layer, Model, _act, _act_deriv, mlp_model
+from .models import (Head, Layer, Model, MlpParams, _act, _mlp_backward, _mlp_forward,
+                     _raw_batch, expit, mlp_model, softmax)
 
 
 @dataclass
@@ -28,10 +28,9 @@ def _init_layers(rng, sizes, activation):
     layers = []
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        b = np.zeros(n_out)
         act = activation if i < len(sizes) - 2 else "identity"
-        layers.append([w, b, act])
-    return layers
+        layers.append(Layer(w, np.zeros(n_out), act))
+    return MlpParams(tuple(layers))
 
 
 def fit_toy_model(
@@ -62,22 +61,13 @@ def fit_toy_model(
     out_dim = 1 if binary else n_classes
 
     rng = np.random.default_rng(seed)
-    layers = _init_layers(rng, (dim, *hidden, out_dim), activation)
+    params = _init_layers(rng, (dim, *hidden, out_dim), activation)
     onehot = None if binary else np.eye(n_classes)[y]
     yf = y.astype(float)
 
     loss = np.inf
     for _ in range(epochs):
-        # forward
-        acts = [X]
-        pres = []
-        a = X
-        for w, b, act in layers:
-            z = a @ w.T + b
-            pres.append(z)
-            a = _act(act, z)
-            acts.append(a)
-        logits = a
+        logits, pre = _mlp_forward(params, X)
         # loss gradient on the logits (mean reduction)
         if binary:
             p = expit(logits[:, 0])
@@ -85,36 +75,31 @@ def fit_toy_model(
             loss = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
             delta = ((p - yf) / n)[:, None]
         else:
-            probs = softmax(logits, axis=1)
+            probs = softmax(logits)
             loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-12))
             delta = (probs - onehot) / n
-        # backward
-        for idx in range(len(layers) - 1, -1, -1):
-            w, b, act = layers[idx]
-            dz = delta * _act_deriv(act, pres[idx])
-            dw = dz.T @ acts[idx]
-            db = dz.sum(axis=0)
-            delta = dz @ w
-            layers[idx][0] = w - learning_rate * dw
-            layers[idx][1] = b - learning_rate * db
+        _, dzs = _mlp_backward(params, pre, delta)
+        inputs = [X] + [_act(layer.activation, z) for layer, z in zip(params.layers, pre[:-1])]
+        params = MlpParams(tuple(
+            Layer(layer.weight - learning_rate * (dz.T @ a),
+                  layer.bias - learning_rate * dz.sum(axis=0), layer.activation)
+            for layer, dz, a in zip(params.layers, dzs, inputs)
+        ))
 
     head = Head("sigmoid") if binary else Head("softmax", target=0)
-    model = mlp_model([Layer(w, b, act) for w, b, act in layers], head)
+    model = mlp_model(params.layers, head)
     acc = training_accuracy(model, X, y)
     return FitResult(model, float(loss), acc, epochs)
 
 
 def training_accuracy(model: Model, X, y) -> float:
     """Fraction of samples the model classifies correctly."""
-    from .models import _mlp_forward
-
-    X = np.asarray(X, dtype=float)
+    raw, _ = _raw_batch(model, np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=int)
-    logits, _ = _mlp_forward(model.params, X)
     if model.head.type == "sigmoid":
-        pred = (expit(logits[:, 0]) >= 0.5).astype(int)
+        pred = (expit(raw[:, 0]) >= 0.5).astype(int)
     else:
-        pred = logits.argmax(axis=1)
+        pred = raw.argmax(axis=1)
     return float(np.mean(pred == y))
 
 

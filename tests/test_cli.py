@@ -193,3 +193,51 @@ class TestTrainToy:
         )
         assert res.returncode == 2
         assert "input" in res.stderr
+
+
+MISUSE = {
+    "neflag-samples-0": ["attribute", "--method", "neflag", "--samples", "0"],
+    "neflag-epsilon-0": ["attribute", "--method", "neflag", "--epsilon", "0"],
+    "neflag-epsilon-neg": ["attribute", "--method", "neflag", "--epsilon", "-1"],
+    "neflag-steps-0": ["attribute", "--method", "neflag", "--steps", "0"],
+    "smoothgrad-samples-0": ["attribute", "--method", "smoothgrad", "--samples", "0"],
+    "smoothgrad-sigma-neg": ["attribute", "--method", "smoothgrad", "--sigma", "-1"],
+    "ig-steps-0": ["attribute", "--method", "ig", "--steps", "0"],
+    "taylor-epsilon-neg": ["attribute", "--method", "taylor", "--epsilon", "-1"],
+    "grid-too-big": ["attribute", "--method", "saliency", "--grid", "3x3"],
+    "grid-negative": ["attribute", "--method", "saliency", "--grid=-1x-2"],
+    "verify-epsilon-neg": ["verify", "--epsilon", "-1"],
+    "verify-samples-0": ["verify", "--samples", "0"],
+    "eval-samples-0": ["eval", "--samples", "0"],
+    "eval-blur-grid": ["eval", "--replacement", "blur", "--grid", "3x3"],
+    "eval-limit-neg": ["eval", "--limit", "-1"],
+    "model-dim-contradicts-params": ["attribute", "--method", "saliency", "--model", "{baddim}"],
+}
+
+
+@pytest.mark.parametrize("argv", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
+    doc = fg.model_to_json(fg.linear_model([3.0, 4.0]))
+    (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
+    argv = [a.format(baddim=tmp_path / "baddim.json") for a in argv]
+    inputs = {
+        "attribute": ["--input", str(fixtures / "origin2.txt")],
+        "verify": ["--input", str(fixtures / "origin2.txt")],
+        "eval": ["--input", str(fixtures / "blobs.csv")],
+    }[argv[0]]
+    model = [] if "--model" in argv else ["--model", str(fixtures / "linear.json")]
+    out = tmp_path / "out"
+    out.mkdir()
+    res = run_cli(*argv, *model, *inputs, "--out", str(out / "o"))
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "Traceback" not in res.stderr
+    assert list(out.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, fluxgrad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -145,3 +145,7 @@ class TestTheoremReport:
         report = fg.divergence_theorem_report(m, SphereSpec(np.zeros(1), 1.0), 100, seed=0)
         doc = report.to_json()
         assert set(doc) == {"lhs", "rhs", "diff", "stderr", "pass", "samples"}
+
+
+def test_ball_spec_is_the_sphere_spec():
+    assert BallSpec is SphereSpec

@@ -208,3 +208,15 @@ class TestAttributionFiles:
         att = AttributionMap([1.0, 2.0, 3.0], "x")
         with pytest.raises(ValueError):
             att.pgm_str((2, 2))
+
+
+@pytest.mark.parametrize("grid", [(28, 28), (1, 5), (5, 1), (3, 7)])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_blur_matches_scipy_uniform_filter(grid, radius):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    x = np.random.default_rng(radius).uniform(0.0, 1.0, grid[0] * grid[1])
+    want = x.reshape(grid)
+    for _ in range(3):
+        want = ndimage.uniform_filter(want, size=2 * radius + 1, mode="nearest")
+    got = replacement_input(x, EvalConfig("blur", grid=grid, blur_radius=radius))
+    assert np.max(np.abs(got - want.ravel())) <= 1e-12

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxgrad as fg
+from fluxgrad import models
 from fluxgrad.models import _mlp_forward
 
 
@@ -187,3 +190,51 @@ class TestSerialization:
         X2, y2 = fg.load_dataset_csv(path)
         assert np.array_equal(X, X2)
         assert np.array_equal(y, y2)
+
+
+class TestNumpyHelpers:
+    def test_expit_matches_scipy_without_warnings(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        z = np.concatenate([
+            np.linspace(-745.0, 745.0, 20001),
+            np.random.default_rng(0).standard_normal(1000) * 20.0,
+            [-1000.0, -709.0, -0.0, 0.0, 1e-300, 1000.0],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models.expit(z)
+            want = scipy_special.expit(z)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-14 * want[normal])
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_softmax_bit_identical_to_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(1)
+        for scale in (1.0, 30.0, 1000.0):
+            z = rng.standard_normal((50, 7)) * scale
+            assert np.array_equal(models.softmax(z), scipy_special.softmax(z, axis=1))
+
+    def test_gradient_batch_runs_one_forward_pass(self, monkeypatch):
+        m = fg.random_mlp(4, hidden=(5, 3), out_dim=3, activation="tanh", seed=2,
+                          head=fg.Head("softmax", target=1))
+        calls = []
+        forward = models._mlp_forward
+        monkeypatch.setattr(models, "_mlp_forward",
+                            lambda p, xs: calls.append(1) or forward(p, xs))
+        fg.gradient_batch(m, np.ones((6, 4)))
+        assert len(calls) == 1
+
+
+def test_model_from_json_rejects_contradictory_dim():
+    doc = fg.model_to_json(fg.linear_model([1.0, 2.0]))
+    assert fg.model_from_json(doc).dim == 2
+    with pytest.raises(ValueError, match="dim"):
+        fg.model_from_json({**doc, "dim": 5})
+
+
+def test_training_accuracy_of_a_linear_model():
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0], [0.5, -3.0]])
+    y = np.array([1, 0, 1, 1])
+    m = fg.linear_model([1.0, 0.0], head=fg.Head("sigmoid"))
+    assert fg.training_accuracy(m, X, y) == 1.0
