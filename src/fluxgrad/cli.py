@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage or parse failure, 3 no negative flux found,
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -65,6 +66,24 @@ def _parse_grid(text, size):
     if h < 1 or w < 1 or h * w != size:
         raise CliError(f"grid: {text} does not lay out {size} features")
     return h, w
+
+
+def _parse_hidden(text):
+    """The hidden layer sizes in a comma-separated list of positive integers."""
+    try:
+        sizes = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError as exc:
+        raise CliError(f"hidden: expected comma-separated integers, got {text!r}") from exc
+    if any(size < 1 for size in sizes):
+        raise CliError(f"hidden: layer sizes must be >= 1, got {text!r}")
+    return sizes
+
+
+def _check_out_dir(path):
+    """Fail before any output is written if the directory ``path`` names is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise CliError(f"out: directory {directory} does not exist")
 
 
 def _method_fn(name, args):
@@ -181,16 +200,12 @@ def cmd_train_toy(args) -> int:
         X, y = load_dataset_csv(args.input)
     except (OSError, ValueError) as exc:
         raise CliError(f"input: {exc}") from exc
-    hidden = tuple(int(tok) for tok in args.hidden.split(",") if tok)
-    result = fit_toy_model(
-        X,
-        y,
-        hidden=hidden,
-        activation=args.activation,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-    )
+    hidden = _parse_hidden(args.hidden)
+    try:
+        result = fit_toy_model(X, y, hidden=hidden, activation=args.activation,
+                               epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(f"train-toy: {exc}") from exc
     save_model(result.model, args.out)
     print(f"final loss {result.loss:.6f}, training accuracy {result.accuracy:.4f}")
     return EXIT_OK
@@ -259,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out_dir(args.out)
         return args.fn(args)
     except (CliError, FluxgradError) as exc:
         print(f"error: {exc}", file=sys.stderr)

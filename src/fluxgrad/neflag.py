@@ -19,6 +19,11 @@ The recurrence is run ``max_steps`` times on a single sampled start by
 default.  ``resample_each_step=True`` instead redraws the start before
 every step, which discards the recurrence state; it is kept selectable
 for comparison but is not the default.
+
+The samples of one attribution are searched in lockstep: each recurrence
+step is one ``gradient_batch`` call over every sample still searching, and
+one more call at the final points gives the flux.  Every sample keeps its
+own generator, so it draws the same stream as a search run on its own.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +33,7 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
 from .geometry import sphere_points
-from .models import Model, evaluate, gradient
+from .models import Model, evaluate, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
 
@@ -131,22 +136,17 @@ def sample_sphere(sphere: SphereSpec, seed) -> np.ndarray:
     return sphere_points(rng, 1, sphere.center, sphere.radius)[0]
 
 
-def _flux_point(model: Model, sphere: SphereSpec, x_t: np.ndarray) -> FluxPoint:
-    """Flux bookkeeping at x_t, using its actual distance from the center.
+def _flux_point(model: Model, sphere: SphereSpec, x_t, grad) -> FluxPoint:
+    """Flux bookkeeping at x_t, given the gradient there.
 
-    Sign-rule points live off the sphere; their normal is taken along the
-    actual offset direction.
+    The normal is taken along the actual offset from the center, so it also
+    serves sign-rule points, which live off the sphere.
     """
-    x_t = np.asarray(x_t, dtype=float)
     off = sphere.offset(x_t)
     dist = float(np.linalg.norm(off))
-    if dist == 0.0:
-        raise OffSphere("candidate point coincides with the sphere center")
     normal = off / dist
-    grad = gradient(model, x_t)
-    flux = float(grad @ normal)
     approx = (evaluate(model, x_t) - evaluate(model, sphere.center)) / dist
-    return FluxPoint(x_t, grad, normal, flux, float(approx))
+    return FluxPoint(x_t, grad, normal, float(grad @ normal), float(approx))
 
 
 def flux_at(model: Model, sphere: SphereSpec, x_t) -> FluxPoint:
@@ -163,7 +163,22 @@ def flux_at(model: Model, sphere: SphereSpec, x_t) -> FluxPoint:
         raise OffSphere(
             f"point at distance {dist:.3e} from center, sphere radius {sphere.radius:.3e}"
         )
-    return _flux_point(model, sphere, x_t)
+    return _flux_point(model, sphere, x_t, gradient(model, x_t))
+
+
+def _steps(sphere: SphereSpec, grads: np.ndarray, rule: str):
+    """The recurrence update of each row, from the gradients at the current points.
+
+    Also returns the mask of rows whose gradient vanished; their update is
+    meaningless and the caller must not use it.
+    """
+    norms = np.linalg.norm(grads, axis=1)
+    stationary = norms == 0.0
+    if rule == "normalized":
+        shift = sphere.radius * grads / np.where(stationary, 1.0, norms)[:, None]
+    else:
+        shift = sphere.radius * np.sign(grads)
+    return sphere.center - shift, stationary
 
 
 def recurrence_step(
@@ -176,13 +191,71 @@ def recurrence_step(
     """
     if rule not in ("sign", "normalized"):
         raise ValueError(f"unknown recurrence rule {rule!r}")
-    grad = gradient(model, np.asarray(x_prev, dtype=float))
-    norm = np.linalg.norm(grad)
-    if norm == 0.0:
+    xs = np.asarray(x_prev, dtype=float)[None, :]
+    x_next, stationary = _steps(sphere, gradient_batch(model, xs), rule)
+    if stationary[0]:
         raise StationaryGradient("stationary gradient, cannot step")
-    if rule == "normalized":
-        return sphere.center - sphere.radius * grad / norm
-    return sphere.center - sphere.radius * np.sign(grad)
+    return x_next[0]
+
+
+def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rngs):
+    """Find one negative-flux point per generator, all searches in lockstep.
+
+    Returns the accepted points and the gradients there, row i drawn from
+    ``rngs[i]``.  Each round draws a start for every pending sample, makes
+    one ``gradient_batch`` call per recurrence step and one at the final
+    points, and accepts the rows whose flux is negative (every row when
+    ``reject_nonnegative`` is off).  Each sample has 10 * n_samples rounds.
+    A sample whose gradient vanishes, whose point lands on the center or
+    whose rounds run out fails alone; the search then raises the error of
+    the lowest-index failed sample, the one a sample-by-sample loop would
+    meet first.
+    """
+    n = len(rngs)
+    budget = 10 * config.n_samples
+    steps = 0 if config.step_rule == "none" else config.max_steps
+    points, grads = np.empty((n, sphere.dim)), np.empty((n, sphere.dim))
+    pending = np.arange(n)
+    errors = {}  # sample index -> the error that ended its search
+
+    def fail(bad, error):
+        """Stop the pending samples marked ``bad``; the mask of the rows that go on."""
+        nonlocal pending
+        errors.update(dict.fromkeys(pending[bad].tolist(), error))
+        # a sample after the lowest failed one cannot change the outcome
+        go_on = ~bad & (pending < min(errors, default=n))
+        pending = pending[go_on]
+        return go_on
+
+    def draw():
+        starts = [sample_sphere(sphere, rngs[i]) for i in pending]
+        return np.array(starts).reshape(-1, sphere.dim)
+
+    for _ in range(budget):
+        x_t = draw()
+        for _ in range(steps):
+            if config.resample_each_step:
+                x_t = draw()
+            x_t, stationary = _steps(sphere, gradient_batch(model, x_t), config.step_rule)
+            x_t = x_t[fail(stationary, StationaryGradient("stationary gradient, cannot step"))]
+        off = x_t - sphere.center
+        dist = np.linalg.norm(off, axis=1)
+        go_on = fail(dist == 0.0, OffSphere("candidate point coincides with the sphere center"))
+        x_t, normals = x_t[go_on], off[go_on] / dist[go_on, None]
+        g = gradient_batch(model, x_t)
+        flux = np.einsum("ij,ij->i", g, normals)
+        accept = flux < 0.0 if config.reject_nonnegative else np.ones(flux.size, dtype=bool)
+        points[pending[accept]], grads[pending[accept]] = x_t[accept], g[accept]
+        pending = pending[~accept]
+        if not pending.size:
+            break
+    if pending.size:
+        errors[int(pending[0])] = NoNegativeFlux(
+            f"no negative flux found on the sphere after {budget} attempts"
+        )
+    if errors:
+        raise errors[min(errors)]
+    return points, grads
 
 
 def find_negative_flux_point(
@@ -194,45 +267,33 @@ def find_negative_flux_point(
     updates under the ``none`` rule).  When ``reject_nonnegative`` is set,
     candidates whose exact flux is >= 0 are rejected and the search
     restarts from a fresh sample, up to 10 * n_samples attempts; exhaustion
-    raises :class:`NoNegativeFlux`.
+    raises :class:`NoNegativeFlux`.  This is the one-sample case of the
+    search :func:`neflag_attribute` runs.
     """
     rng = _as_rng(config.seed if seed is None else seed)
-    budget = 10 * config.n_samples
-    for _ in range(budget):
-        x_t = sample_sphere(sphere, rng)
-        if config.step_rule != "none":
-            for _ in range(config.max_steps):
-                if config.resample_each_step:
-                    x_t = sample_sphere(sphere, rng)
-                x_t = recurrence_step(model, sphere, x_t, config.step_rule)
-        point = _flux_point(model, sphere, x_t)
-        if not config.reject_nonnegative or point.is_negative:
-            return point
-    raise NoNegativeFlux(
-        f"no negative flux found on the sphere after {budget} attempts"
-    )
+    points, grads = _search(model, sphere, config, [rng])
+    return _flux_point(model, sphere, points[0], grads[0])
 
 
 def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> AttributionMap:
     """Aggregate F(x~) * (x - x~) over n_samples negative-flux points.
 
     Per-sample seeds are derived from the master seed by index, so the
-    result is deterministic and independent of any evaluation order.  Raw
-    sums are reported (no 1/n normalization); magnitudes therefore scale
-    with n_samples and cross-n comparisons should use rankings.
+    result is deterministic and independent of any evaluation order.  The
+    samples are searched in lockstep, one batched gradient call per
+    recurrence step for all of them, each drawing from its own generator.
+    Raw sums are reported (no 1/n normalization); magnitudes therefore
+    scale with n_samples and cross-n comparisons should use rankings.
     """
     x = np.asarray(x, dtype=float)
     if x.size != model.dim:
         raise DimensionMismatch("input length does not match model dimension")
     sphere = SphereSpec(x, config.epsilon)
-    root = np.random.SeedSequence(config.seed)
-    total = np.zeros(model.dim)
-    used = 0
-    for child in root.spawn(config.n_samples):
-        point = find_negative_flux_point(model, sphere, config, np.random.default_rng(child))
-        total += point.gradient * (x - point.location)
-        used += 1
-    return AttributionMap(total, "neflag", config.to_params(), samples_used=used)
+    children = np.random.SeedSequence(config.seed).spawn(config.n_samples)
+    points, grads = _search(model, sphere, config, [np.random.default_rng(c) for c in children])
+    # numpy adds the rows in index order, as a running total over the samples would
+    total = (grads * (x - points)).sum(axis=0)
+    return AttributionMap(total, "neflag", config.to_params(), samples_used=config.n_samples)
 
 
 def taylor_heatmap(model: Model, x, x_t) -> AttributionMap:

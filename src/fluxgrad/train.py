@@ -48,6 +48,7 @@ def fit_toy_model(
     labels {0..K-1} with K > 2 give K logits with a softmax head (target
     class 0 by default, re-targetable via the head).  Deterministic given
     the seed.  Non-convergence is not an error; the final loss is reported.
+    Fewer than one epoch is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -55,6 +56,8 @@ def fit_toy_model(
         raise ValueError("dataset must be a nonempty (n, N) array")
     if X.shape[0] != y.size:
         raise ValueError("labels must match the number of samples")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
     n, dim = X.shape
     n_classes = int(y.max()) + 1 if y.size else 0
     binary = n_classes <= 2

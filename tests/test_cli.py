@@ -212,6 +212,13 @@ MISUSE = {
     "eval-blur-grid": ["eval", "--replacement", "blur", "--grid", "3x3"],
     "eval-limit-neg": ["eval", "--limit", "-1"],
     "model-dim-contradicts-params": ["attribute", "--method", "saliency", "--model", "{baddim}"],
+    "attribute-out-dir-missing": ["attribute", "--method", "saliency", "--out", "{missing}"],
+    "verify-out-dir-missing": ["verify", "--out", "{missing}"],
+    "eval-out-dir-missing": ["eval", "--methods", "saliency", "--out", "{missing}"],
+    "train-toy-out-dir-missing": ["train-toy", "--out", "{missing}"],
+    "train-toy-hidden-not-int": ["train-toy", "--hidden", "abc"],
+    "train-toy-hidden-0": ["train-toy", "--hidden", "0"],
+    "train-toy-epochs-0": ["train-toy", "--epochs", "0"],
 }
 
 
@@ -219,16 +226,19 @@ MISUSE = {
 def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     doc = fg.model_to_json(fg.linear_model([3.0, 4.0]))
     (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
-    argv = [a.format(baddim=tmp_path / "baddim.json") for a in argv]
-    inputs = {
-        "attribute": ["--input", str(fixtures / "origin2.txt")],
-        "verify": ["--input", str(fixtures / "origin2.txt")],
-        "eval": ["--input", str(fixtures / "blobs.csv")],
-    }[argv[0]]
-    model = [] if "--model" in argv else ["--model", str(fixtures / "linear.json")]
     out = tmp_path / "out"
     out.mkdir()
-    res = run_cli(*argv, *model, *inputs, "--out", str(out / "o"))
+    argv = [a.format(baddim=tmp_path / "baddim.json", missing=out / "missing" / "o")
+            for a in argv]
+    model = ["--model", str(fixtures / "linear.json")]
+    defaults = {
+        "attribute": [*model, "--input", str(fixtures / "origin2.txt")],
+        "verify": [*model, "--input", str(fixtures / "origin2.txt")],
+        "eval": [*model, "--input", str(fixtures / "blobs.csv")],
+        "train-toy": ["--input", str(fixtures / "blobs.csv")],
+    }[argv[0]]
+    # the case's own options come last, so they override the defaults
+    res = run_cli(argv[0], *defaults, "--out", str(out / "o"), *argv[1:])
     assert res.returncode == 2, res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr

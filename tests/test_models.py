@@ -170,6 +170,12 @@ class TestFitToyModel:
         with pytest.raises(ValueError):
             fg.fit_toy_model(np.empty((0, 2)), np.empty(0, dtype=int))
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        X, y = fg.blob_dataset(20, seed=1)
+        with pytest.raises(ValueError, match="epochs"):
+            fg.fit_toy_model(X, y, epochs=epochs)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("model", _model_zoo())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fluxgrad as fg
+from fluxgrad import neflag
 from fluxgrad.neflag import NeflagConfig, SphereSpec
 
 
@@ -250,3 +251,102 @@ class TestTaylorHeatmap:
         heat = fg.taylor_heatmap(model, x, x_t)
         contribution = fg.gradient(model, x_t) * (x - x_t)
         assert np.array_equal(heat.values, contribution)
+
+
+def sequential_sample(model, sphere, cfg, rng):
+    """One sample's search, candidate by candidate, from the public one-point functions."""
+    for _ in range(10 * cfg.n_samples):
+        x_t = fg.sample_sphere(sphere, rng)
+        if cfg.step_rule != "none":
+            for _ in range(cfg.max_steps):
+                if cfg.resample_each_step:
+                    x_t = fg.sample_sphere(sphere, rng)
+                x_t = fg.recurrence_step(model, sphere, x_t, cfg.step_rule)
+        off = x_t - sphere.center
+        dist = np.linalg.norm(off)
+        if dist == 0.0:
+            raise fg.OffSphere("candidate point coincides with the sphere center")
+        grad = fg.gradient(model, x_t)
+        if not cfg.reject_nonnegative or grad @ (off / dist) < 0:
+            return x_t, grad
+    raise fg.NoNegativeFlux("no negative flux")
+
+
+def sequential_outcomes(model, x, cfg):
+    """Each sample's (point, gradient) or exception, one generator per seed child."""
+    sphere = SphereSpec(x, cfg.epsilon)
+    outcomes = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples):
+        try:
+            outcomes.append(sequential_sample(model, sphere, cfg, np.random.default_rng(child)))
+        except fg.FluxgradError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+class TestLockstepSearch:
+    CONFIGS = {
+        "sign": {},
+        "normalized-m5": {"step_rule": "normalized", "max_steps": 5},
+        "none": {"step_rule": "none"},
+        "resample-each-step": {"step_rule": "normalized", "max_steps": 3,
+                               "resample_each_step": True},
+        "keep-nonnegative": {"step_rule": "none", "reject_nonnegative": False},
+    }
+
+    @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_matches_sequential_reference(self, kw):
+        model = fg.random_mlp(5, hidden=(7,), activation="tanh",
+                              head=fg.Head("sigmoid"), seed=12)
+        rng = np.random.default_rng(3)
+        for seed in range(6):
+            x = rng.standard_normal(5)
+            cfg = NeflagConfig(seed=seed, n_samples=8, **kw)
+            total = np.zeros(5)
+            for point, grad in sequential_outcomes(model, x, cfg):
+                total += grad * (x - point)
+            att = fg.neflag_attribute(model, x, cfg)
+            assert np.max(np.abs(att.values - total)) <= 1e-12 * np.max(np.abs(total))
+            assert att.samples_used == cfg.n_samples
+
+    def test_raises_what_the_lowest_index_failing_sample_raises(self):
+        # |x1| with a dead zone |x1| < 0.01 around the centre: the centre is a
+        # minimum, so every candidate outside the zone is rejected, and a step
+        # from inside the zone meets a zero gradient.  Samples end in
+        # NoNegativeFlux or StationaryGradient, depending on their stream.
+        t = 0.01
+        vee = fg.mlp_model([
+            fg.Layer(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-t, -t]), "relu"),
+            fg.Layer(np.array([[1.0, 1.0]]), np.zeros(1), "identity"),
+        ])
+        bowl = fg.quadratic_model([1.0, 1.0])
+        later_failure_first = 0
+        for model, kw in ((vee, {}), (vee, {"max_steps": 3, "resample_each_step": True}),
+                          (bowl, {})):
+            for seed in range(25):
+                cfg = NeflagConfig(epsilon=0.1, n_samples=2, step_rule="normalized",
+                                   seed=seed, **kw)
+                outcomes = sequential_outcomes(model, np.zeros(2), cfg)
+                failures = [o for o in outcomes if isinstance(o, Exception)]
+                assert failures
+                with pytest.raises(type(failures[0])):
+                    fg.neflag_attribute(model, np.zeros(2), cfg)
+                later_failure_first += [type(f) for f in failures] == [
+                    fg.NoNegativeFlux, fg.StationaryGradient]
+        # the lockstep search meets sample 1's zero gradient rounds before
+        # sample 0 runs out of candidates, and must still raise sample 0's error
+        assert later_failure_first >= 1
+
+    def test_one_gradient_batch_call_per_step(self, monkeypatch):
+        calls = []
+        for name in ("gradient_batch", "gradient", "evaluate"):
+            fn = getattr(neflag, name)
+            monkeypatch.setattr(neflag, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        # every candidate is accepted: a linear field has negative flux at -sign(a)
+        model = fg.linear_model([1.0, -2.0, 3.0])
+        fg.neflag_attribute(model, np.zeros(3), NeflagConfig())
+        assert calls == ["gradient_batch"] * 2
+        calls.clear()
+        fg.neflag_attribute(model, np.zeros(3), NeflagConfig(step_rule="normalized", max_steps=5))
+        assert calls == ["gradient_batch"] * 6
