@@ -66,7 +66,8 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
         values = gradient(model, x)
     else:
         rng = np.random.default_rng(cfg.seed)
-        noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
+        with np.errstate(over="ignore"):  # a vast sigma gives inf, which gradient_batch rejects
+            noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
         values = gradient_batch(model, x + noise).mean(axis=0)
     if cfg.multiply_by_input:
         values = values * x

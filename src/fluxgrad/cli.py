@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 usage or parse failure, 3 no negative flux found,
 """
 
 import argparse
+import contextlib
+import json
 import os
 import sys
 
@@ -15,7 +17,7 @@ from . import evalkit
 from .baselines import ig_completeness_gap
 from .divergence import divergence_theorem_report
 from .errors import FluxgradError, NoNegativeFlux, NotSmooth
-from .models import evaluate, load_model, save_model
+from .models import evaluate, load_model, model_json_str
 from .neflag import SphereSpec
 from .train import fit_toy_model, load_dataset_csv
 
@@ -34,7 +36,8 @@ class CliError(Exception):
 
 def _load_vector(path) -> np.ndarray:
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"input: cannot read {path}: {exc}") from exc
     try:
@@ -51,7 +54,8 @@ def _load_model_arg(path):
         return load_model(path)
     except OSError as exc:
         raise CliError(f"model: cannot read {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        # a document of the wrong shape fails as it is read
         raise CliError(f"model: {path} is not a valid model file: {exc}") from exc
 
 
@@ -84,6 +88,24 @@ def _check_out_dir(path):
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise CliError(f"out: directory {directory} does not exist")
+
+
+def _write_outputs(files):
+    """Write each (path, text) to a temporary file beside it, then replace the
+    targets only once every file is written, so a failure leaves none of them."""
+    tmps = []
+    try:
+        for path, text in files:
+            tmps.append((f"{path}.{os.getpid()}.tmp", path))
+            with open(tmps[-1][0], "w") as fh:
+                fh.write(text)
+        for tmp, path in tmps:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _ in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise CliError(f"out: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _method_fn(name, args):
@@ -125,16 +147,11 @@ def cmd_attribute(args) -> int:
             "delta_f": float(evaluate(model, x) - evaluate(model, baseline)),
             "gap": gap,
         }
-    import json
-
-    with open(args.out + ".json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(args.out + ".csv", "w") as fh:
-        fh.write(attr.csv_str())
+    files = [(args.out + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n"),
+             (args.out + ".csv", attr.csv_str())]
     if grid is not None:
-        with open(args.out + ".pgm", "w") as fh:
-            fh.write(attr.pgm_str(grid))
+        files.append((args.out + ".pgm", attr.pgm_str(grid)))
+    _write_outputs(files)
     print(f"wrote {args.out}.json")
     return EXIT_OK
 
@@ -151,10 +168,9 @@ def cmd_verify(args) -> int:
     except NotSmooth as exc:
         print(f"error: model {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # a non-positive --epsilon or --samples
+    except (ValueError, OverflowError) as exc:  # a non-positive --epsilon or --samples, or a vast ball
         raise CliError(str(exc)) from exc
-    with open(args.out, "w") as fh:
-        fh.write(report.json_str())
+    _write_outputs([(args.out, report.json_str())])
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: lhs={report.volume_integral:.6g} rhs={report.surface_integral:.6g}"
@@ -178,6 +194,8 @@ def cmd_eval(args) -> int:
     if args.limit:
         X = X[: args.limit]
     names = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not names:
+        raise CliError("methods: name at least one method")
     for name in names:
         if name not in METHODS:
             raise CliError(f"methods: unknown method {name!r}")
@@ -187,10 +205,7 @@ def cmd_eval(args) -> int:
     if all(r.samples_ok == 0 for r in report.results):
         print("error: no sample succeeded for any method", file=sys.stderr)
         return EXIT_EMPTY
-    with open(args.out + ".json", "w") as fh:
-        fh.write(report.json_str())
-    with open(args.out + ".csv", "w") as fh:
-        fh.write(report.csv_str())
+    _write_outputs([(args.out + ".json", report.json_str()), (args.out + ".csv", report.csv_str())])
     print(report.csv_str(), end="")
     return EXIT_OK
 
@@ -206,7 +221,7 @@ def cmd_train_toy(args) -> int:
                                epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     except ValueError as exc:
         raise CliError(f"train-toy: {exc}") from exc
-    save_model(result.model, args.out)
+    _write_outputs([(args.out, model_json_str(result.model))])
     print(f"final loss {result.loss:.6f}, training accuracy {result.accuracy:.4f}")
     return EXIT_OK
 
@@ -272,9 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error or the help
+        return exc.code
     try:
         _check_out_dir(args.out)
+        if args.seed < 0:
+            raise CliError(f"seed: must be >= 0, got {args.seed}")
+        for name in ("epsilon", "sigma", "lr"):
+            if not np.isfinite(getattr(args, name, 0.0)):
+                raise CliError(f"{name}: must be finite, got {getattr(args, name)}")
         return args.fn(args)
     except (CliError, FluxgradError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import Model, evaluate_batch
+from .models import Model, evaluate_batch, path_scores
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
@@ -115,16 +115,13 @@ def _curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig, delete
         raise DimensionMismatch("input, attribution, and model dimensions must agree")
     repl = replacement_input(x, cfg)
     start, target = (x, repl) if delete else (repl, x)
-    order = feature_order(attribution, cfg.absolute)
     n = x.size
-    counts = list(range(0, n, cfg.features_per_step)) + [n]
-    counts = sorted(set(counts))
-    rows = np.tile(start, (len(counts), 1))
-    for i, k in enumerate(counts):
-        idx = order[:k]
-        rows[i, idx] = target[idx]
-    fractions = np.asarray(counts, dtype=float) / n
-    scores = evaluate_batch(model, rows)
+    counts = np.append(np.arange(0, n, cfg.features_per_step), n)
+    # The ends exactly, so a deletion curve ends where its insertion curve starts.
+    ends = evaluate_batch(model, np.stack([start, target]))
+    inner = path_scores(model, start, target, feature_order(attribution, cfg.absolute), counts[1:-1])
+    scores = np.concatenate([ends[:1], inner, ends[1:]])
+    fractions = counts / n
     return EvalCurve(fractions, scores, float(np.trapezoid(scores, fractions)))
 
 
@@ -145,14 +142,31 @@ def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConf
     return ins.auc - dele.auc
 
 
+def _two_rounds(cfg: EvalConfig) -> tuple:
+    """The replacement modes of the two-round difference: black, then blur or mean."""
+    return ("black", "blur" if cfg.grid is not None else "mean")
+
+
+def _aucs(model: Model, x, attribution: AttributionMap, cfg: EvalConfig, modes) -> dict:
+    """(deletion AUC, insertion AUC) once for each distinct replacement mode in ``modes``."""
+    out = {}
+    for mode in dict.fromkeys(modes):
+        c = replace(cfg, replacement=mode)
+        out[mode] = (deletion_curve(model, x, attribution, c).auc,
+                     insertion_curve(model, x, attribution, c).auc)
+    return out
+
+
+def _mean_difference(aucs: dict, cfg: EvalConfig) -> float:
+    """The two-round difference from the AUCs of its rounds, as given by :func:`_aucs`."""
+    return float(np.mean([ins - dele for dele, ins in (aucs[m] for m in _two_rounds(cfg))]))
+
+
 def two_round_difference(
     model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()
 ) -> float:
     """Mean difference score over the black round and the blur/mean round."""
-    rounds = []
-    for repl in ("black", "blur" if cfg.grid is not None else "mean"):
-        rounds.append(difference_score(model, x, attribution, replace(cfg, replacement=repl)))
-    return float(np.mean(rounds))
+    return _mean_difference(_aucs(model, x, attribution, cfg, _two_rounds(cfg)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +298,10 @@ def benchmark(
         mi, fn, xi, x = args
         try:
             attr = fn(model, x, _sample_seed(seed, mi, xi))
-            dele = deletion_curve(model, x, attr, cfg).auc
-            ins = insertion_curve(model, x, attr, cfg).auc
-            diff = two_round_difference(model, x, attr, cfg)
-            return (dele, ins, diff)
+            # blur without a grid is mean, so cfg's round is often one of the two
+            own = _two_rounds(cfg)[1] if cfg.replacement == "blur" else cfg.replacement
+            aucs = _aucs(model, x, attr, cfg, (own, *_two_rounds(cfg)))
+            return (*aucs[own], _mean_difference(aucs, cfg))
         except FluxgradError:
             return None
 

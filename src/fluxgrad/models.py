@@ -51,8 +51,8 @@ def _act(name, z):
         return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
-    if name == "softplus":
-        return np.logaddexp(0.0, z)
+    if name == "softplus":  # log(1 + e^z), without overflow
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return z
 
 
@@ -225,10 +225,15 @@ def _check_batch(model: Model, xs) -> np.ndarray:
 
 def _mlp_forward(params: MlpParams, xs):
     """Forward pass; returns logits and per-layer pre-activations."""
-    pre = []
-    a = xs
+    return _mlp_from_first(params, xs @ params.layers[0].weight.T)
+
+
+def _mlp_from_first(params: MlpParams, s):
+    """:func:`_mlp_forward` from the first layer's weighted inputs ``s = xs @ W1.T``."""
+    pre, a = [], None
     for layer in params.layers:
-        z = a @ layer.weight.T + layer.bias
+        # drop s once used: holding a large array alive slows later allocations
+        z, s = (s if a is None else a @ layer.weight.T) + layer.bias, None
         pre.append(z)
         a = _act(layer.activation, z)
     return a, pre
@@ -250,19 +255,54 @@ def _mlp_backward(params: MlpParams, pre, cotangent):
     return delta, dzs[::-1]
 
 
-def _raw_batch(model: Model, xs):
-    """Raw (n, K) output before the head, plus the pre-activations of an mlp."""
+# Every kind's raw output is g(sum_j phi_j(x_j)): an additive first stage
+# s(x), followed by the rest of the model, g.  s has m columns: the first
+# layer's units for an mlp, the components for a gauss-mixture, else one.
+
+
+def _first_stage(model: Model, xs):
+    """The first stage s of every row of xs; shape (n, m)."""
     p = model.params
     if model.kind == "mlp":
-        return _mlp_forward(p, xs)
+        return xs @ p.layers[0].weight.T
     if model.kind == "linear":
-        raw = xs @ p.a + p.b
+        return (xs @ p.a)[:, None]
+    if model.kind == "quadratic":
+        return np.sum(p.lam * (xs - p.c) ** 2, axis=1)[:, None]
+    return ((xs[:, None, :] - p.centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _feature_terms(model: Model, v):
+    """phi_j(v_j), the first-stage term of each feature of the vector v; shape (N, m)."""
+    p = model.params
+    if model.kind == "mlp":
+        return v[:, None] * p.layers[0].weight.T
+    if model.kind == "linear":
+        return (v * p.a)[:, None]
+    if model.kind == "quadratic":
+        return (p.lam * (v - p.c) ** 2)[:, None]
+    return (v[:, None] - p.centers.T) ** 2
+
+
+def _rest(model: Model, s):
+    """Raw (n, K) output from first stages s, plus the pre-activations of an mlp."""
+    p = model.params
+    if model.kind == "mlp":
+        return _mlp_from_first(p, s)
+    if model.kind == "linear":
+        raw = s[:, 0] + p.b
     elif model.kind == "quadratic":
-        raw = 0.5 * np.sum(p.lam * (xs - p.c) ** 2, axis=1)
+        raw = 0.5 * s[:, 0]
     else:
-        d2 = ((xs[:, None, :] - p.centers[None, :, :]) ** 2).sum(axis=2)
-        raw = np.sum(p.weights * np.exp(-d2 / (2.0 * p.sigmas**2)), axis=1)
+        raw = np.sum(p.weights * np.exp(-s / (2.0 * p.sigmas**2)), axis=1)
     return raw[:, None], None
+
+
+def _raw_batch(model: Model, xs):
+    """Raw (n, K) output before the head, plus the pre-activations of an mlp."""
+    if model.kind == "mlp":
+        return _mlp_forward(model.params, xs)
+    return _rest(model, _first_stage(model, xs))
 
 
 def _raw_grad_batch(model: Model, xs, pre, cotangent):
@@ -283,7 +323,31 @@ def _raw_grad_batch(model: Model, xs, pre, cotangent):
 
 def evaluate_batch(model: Model, xs) -> np.ndarray:
     """Model output after the head for every row of xs; shape (n,)."""
-    raw, _ = _raw_batch(model, _check_batch(model, xs))
+    return _headed(model, _raw_batch(model, _check_batch(model, xs))[0])
+
+
+def path_scores(model: Model, start, target, order, counts) -> np.ndarray:
+    """Output after the head along the path that moves start to target.
+
+    Point k of the path is ``start`` with the features ``order[:k]`` taken
+    from ``target``; the result holds the output at each k in ``counts``.
+    Its first stage is that of ``start`` plus the running sum, in
+    ``order``, of the per-feature changes phi_j(target_j) - phi_j(start_j):
+    O(N m) work in place of the first stage of an (N + 1, N) row matrix.
+    So point k matches ``evaluate_batch`` of its row within rounding; the
+    sum is not exact at k = N, so evaluate ``target`` where it must be.
+    """
+    start, target = (_check_batch(model, v) for v in (start, target))  # every row's entries
+    change = _feature_terms(model, target[0]) - _feature_terms(model, start[0])
+    moved = np.zeros((change.shape[0] + 1, change.shape[1]))
+    np.cumsum(change[order], axis=0, out=moved[1:])
+    stage = _first_stage(model, start) + moved[counts]
+    del change, moved  # free them before the rest of the model allocates its own arrays
+    return _headed(model, _rest(model, stage)[0])
+
+
+def _headed(model: Model, raw):
+    """The head applied to raw (n, K) outputs; shape (n,)."""
     h = model.head
     if h.type == "identity":
         return raw[:, 0]
@@ -471,10 +535,14 @@ def model_from_json(doc: dict) -> Model:
     return model
 
 
+def model_json_str(model: Model) -> str:
+    """The model file's text."""
+    return json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+
+
 def save_model(model: Model, path) -> None:
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(model_json_str(model))
 
 
 def load_model(path) -> Model:

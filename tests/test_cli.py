@@ -1,12 +1,17 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fluxgrad as fg
+from fluxgrad import cli
 
 CLI = [sys.executable, "-m", "fluxgrad.cli"]
 
@@ -251,3 +256,150 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+class FullDisk:
+    """A file whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_last_write_leaves_no_output(fixtures, tmp_path, monkeypatch, capsys):
+    writes = []
+
+    def open_failing_third_write(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            writes.append(path)
+            if len(writes) == 3:
+                return FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_failing_third_write, raising=False)
+    inp = tmp_path / "x.txt"
+    inp.write_text("1.0 2.0")
+    code = cli.main(["attribute", "--model", str(fixtures / "linear.json"), "--input", str(inp),
+                     "--method", "saliency", "--grid", "1x2", "--out", str(tmp_path / "OUT")])
+    assert code == 2 and len(writes) == 3  # .json, .csv, then the failing .pgm
+    assert list(tmp_path.glob("OUT*")) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out: cannot write"), lines
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main(argv) in-process: argument vectors and malformed model JSON
+
+SUBCOMMAND_OPTIONS = {
+    "attribute": ["--method", "--epsilon", "--samples", "--steps", "--step-rule", "--baseline",
+                  "--sigma", "--grid", "--seed"],
+    "verify": ["--epsilon", "--samples", "--seed"],
+    "eval": ["--methods", "--replacement", "--epsilon", "--samples", "--steps", "--step-rule",
+             "--baseline", "--sigma", "--grid", "--limit", "--seed"],
+    "train-toy": ["--hidden", "--activation", "--epochs", "--lr", "--seed"],
+}
+# (good values, bad values) per option; "@name" is a file in the fuzz
+# directory and "OUT" the run's output directory
+NUMBERS = (["0.1", "1", "3"], ["0", "-1", "-0.5", "nan", "inf", "1e308", "1e-320", "abc", ""])
+VALUES = {
+    "--model": (["@linear.json", "@mlp.json", "@bowl.json"], ["@bad.json", "@bad.json", "@missing.json"]),
+    "vector": (["@x2.txt", "@x0.txt"], ["@x3.txt", "@junk.txt", "@data.csv", "@missing.txt"]),
+    "dataset": (["@data.csv"], ["@empty.csv", "@x2.txt", "@missing.csv"]),
+    "--baseline": (["@x2.txt"], ["@x3.txt", "@junk.txt"]),
+    "--out": (["OUT/o"], ["OUT/missing/o", "OUT"]),
+    "--method": (["neflag", "ig", "smoothgrad", "saliency", "taylor", "random"], ["lime"]),
+    "--methods": (["saliency", "neflag,random", "ig,taylor,smoothgrad"], ["lime", ",", ""]),
+    "--step-rule": (["sign", "normalized"], ["damped"]),
+    "--replacement": (["black", "mean", "blur"], ["white"]),
+    "--activation": (["relu", "tanh", "softplus"], ["sigmoid"]),
+    "--grid": (["1x2", "2x1"], ["0x0", "axb", "1x", "2x3", "-1x-2"]),
+    "--hidden": (["3", "3,2"], ["0", "abc", ",", "-1"]),
+    # small counts: verify and smoothgrad cost grows with --samples
+    "--samples": (["1", "3"], ["0", "-2", "abc", "nan"]),
+    "--epochs": (["1", "3"], ["0", "-2", "x"]),
+    "--steps": (["1", "2"], ["0", "-1", "1.5"]),
+    "--limit": (["0", "2"], ["-1", "x"]),
+    "--seed": (["0", "7", str(2**70)], ["-1", "x"]),
+}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "dim", "params", "head", "a", "b", "type",
+                                       "target", "layers", "W", "activation"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    fg.save_model(fg.linear_model([3.0, 4.0]), root / "linear.json")
+    fg.save_model(fg.random_mlp(2, hidden=(3,), activation="tanh", seed=0,
+                                head=fg.Head("sigmoid")), root / "mlp.json")
+    fg.save_model(fg.quadratic_model([1.0, 1.0]), root / "bowl.json")
+    (root / "x2.txt").write_text("0.5, -1.0\n")
+    (root / "x0.txt").write_text("0 0\n")
+    (root / "x3.txt").write_text("1 2 3\n")
+    (root / "junk.txt").write_text("a b\n")
+    X, y = fg.blob_dataset(4, margin=1.0, seed=3)
+    fg.save_dataset_csv(root / "data.csv", X, y)
+    (root / "empty.csv").write_text("")
+    return root
+
+
+@st.composite
+def argvs(draw):
+    sub = draw(st.sampled_from([*SUBCOMMAND_OPTIONS] * 3 + ["bogus"]))
+    options = ["--out", "--model", "--input", "--method"] if sub == "attribute" else \
+        ["--out", "--input"] if sub == "train-toy" else ["--out", "--model", "--input"]
+    options = [o for o in options if draw(st.integers(0, 19))]  # now and then one is missing
+    options += draw(st.lists(st.sampled_from(SUBCOMMAND_OPTIONS.get(sub, []) + ["--unknown"]), max_size=4))
+    argv = [sub]
+    for option in options:
+        if option == "--unknown":
+            argv.append(option)
+            continue
+        key = ("dataset" if sub in ("eval", "train-toy") else "vector") if option == "--input" else option
+        good, bad = VALUES.get(key, NUMBERS)
+        argv += [option, draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))]
+    # keep each run small: verify draws 100k samples and train-toy 500 epochs by default
+    return argv + {"verify": ["--samples", "500"], "train-toy": ["--epochs", "3"]}.get(sub, [])
+
+
+@st.composite
+def model_docs(draw):
+    doc = fg.model_to_json(fg.linear_model([3.0, 4.0]))
+    for key in draw(st.lists(st.sampled_from(["kind", "dim", "head", "params"]), min_size=1, max_size=3)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(JSON)
+    return json.dumps(draw(st.sampled_from([doc, draw(JSON)])))[: draw(st.integers(0, 400))]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), model_text=model_docs())
+def test_fuzzed_main_returns_a_documented_exit_code(fuzz_root, argv, model_text):
+    with tempfile.TemporaryDirectory(dir=fuzz_root) as out:
+        bad = os.path.join(out, "bad.json")
+        with open(bad, "w") as fh:
+            fh.write(model_text)
+
+        def resolve(arg):
+            if arg.startswith("@"):
+                return bad if arg == "@bad.json" else str(fuzz_root / arg[1:])
+            return out + arg[3:] if arg.startswith("OUT") else arg
+
+        code = cli.main([resolve(a) for a in argv])
+        assert code in {0, 2, 3, 4, 5}, (argv, code)
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]

@@ -5,6 +5,7 @@ import pytest
 
 import fluxgrad as fg
 from fluxgrad.attribution import AttributionMap
+from fluxgrad import evalkit
 from fluxgrad.evalkit import EvalConfig, feature_order, make_method, replacement_input
 
 
@@ -78,6 +79,86 @@ class TestCurves:
             vals[list(perm)] = np.arange(5, 0, -1)
             auc = fg.insertion_curve(m, x, AttributionMap(vals, "perm"), cfg).auc
             assert auc <= best + 1e-12
+
+
+def curve_rows(start, target, order, step):
+    """Fractions and rows of a curve, the rows built one by one: the reference."""
+    n = start.size
+    counts = sorted(set(range(0, n, step)) | {n})
+    rows = np.tile(start, (len(counts), 1))
+    for i, k in enumerate(counts):
+        rows[i, order[:k]] = target[order[:k]]
+    return np.asarray(counts, dtype=float) / n, rows
+
+
+def _gauss(head):
+    rng = np.random.default_rng(4)
+    return fg.gauss_mixture_model([1.0, 0.5, 2.0], rng.standard_normal((3, 10)), [1.5, 2.0, 3.0], head)
+
+
+ORACLE_MODELS = {
+    "linear-identity": lambda: fg.linear_model(np.linspace(-1.0, 2.0, 10), b=3.0),
+    "linear-sigmoid": lambda: fg.linear_model(np.linspace(-1.0, 2.0, 10), b=0.5, head=fg.Head("sigmoid")),
+    "quadratic-identity": lambda: fg.quadratic_model(np.linspace(0.5, 3.0, 10), np.linspace(-1.0, 1.0, 10)),
+    "quadratic-sigmoid": lambda: fg.quadratic_model(np.linspace(0.5, 3.0, 10), head=fg.Head("sigmoid")),
+    "gauss-identity": lambda: _gauss(fg.Head()),
+    "gauss-sigmoid": lambda: _gauss(fg.Head("sigmoid")),
+    "mlp-identity": lambda: fg.random_mlp(10, hidden=(6, 4), activation="tanh", seed=1),
+    "mlp-sigmoid": lambda: fg.random_mlp(10, hidden=(8,), activation="relu", seed=2, head=fg.Head("sigmoid")),
+    "mlp-softmax": lambda: fg.random_mlp(10, hidden=(7,), out_dim=3, activation="softplus", seed=3,
+                                         head=fg.Head("softmax", target=2)),
+    "mlp-softmax-logit": lambda: fg.random_mlp(10, hidden=(7,), out_dim=3, activation="softplus", seed=3,
+                                               head=fg.Head("softmax", target=0, use_logit=True)),
+}
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_curves_match_row_by_row_oracle(name, step, absolute):
+    # n = 10 is not a multiple of 3, so the last step moves a single feature.
+    model = ORACLE_MODELS[name]()
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(10)
+    att = AttributionMap(rng.standard_normal(10), "r")
+    order = feature_order(att, absolute)
+    for cfg in (EvalConfig("black", step, absolute), EvalConfig("mean", step, absolute),
+                EvalConfig("blur", step, absolute, grid=(2, 5))):
+        repl = replacement_input(x, cfg)
+        for curve, start, target in ((fg.deletion_curve, x, repl), (fg.insertion_curve, repl, x)):
+            fractions, rows = curve_rows(start, target, order, step)
+            got = curve(model, x, att, cfg)
+            assert np.array_equal(got.fractions, fractions)
+            np.testing.assert_allclose(got.scores, fg.evaluate_batch(model, rows), rtol=1e-12, atol=0)
+            assert got.auc == pytest.approx(np.trapezoid(got.scores, fractions), rel=1e-15)
+
+
+@pytest.mark.parametrize("repl", ["black", "mean"])
+def test_non_finite_input_still_rejected(repl):
+    m = fg.random_mlp(3, hidden=(4,), seed=0)
+    att = AttributionMap([1.0, 2.0, 3.0], "x")
+    for bad in (np.nan, np.inf):
+        for curve in (fg.deletion_curve, fg.insertion_curve):
+            with pytest.raises(fg.NonFiniteInput):
+                curve(m, [0.5, bad, 1.0], att, EvalConfig(repl))
+
+
+@pytest.mark.parametrize("cfg", [EvalConfig("blur", grid=(2, 5)), EvalConfig("blur"), EvalConfig("black")],
+                         ids=["blur-grid", "blur-no-grid", "black"])
+def test_benchmark_job_builds_four_curves(monkeypatch, cfg):
+    model = fg.random_mlp(10, hidden=(6,), activation="tanh", seed=5, head=fg.Head("sigmoid"))
+    x = np.random.default_rng(5).uniform(0.0, 1.0, 10)
+    calls = []
+    for name in ("deletion_curve", "insertion_curve"):
+        curve = getattr(evalkit, name)
+        monkeypatch.setattr(evalkit, name, lambda *a, _curve=curve, **k: calls.append(1) or _curve(*a, **k))
+    row = fg.benchmark(model, [x], {"saliency": make_method("saliency")}, cfg).results[0]
+    assert len(calls) == 4
+    monkeypatch.undo()
+    att = fg.saliency(model, x)
+    assert row.difference_mean == fg.two_round_difference(model, x, att, cfg)
+    assert row.deletion_mean == fg.deletion_curve(model, x, att, cfg).auc
+    assert row.insertion_mean == fg.insertion_curve(model, x, att, cfg).auc
 
 
 class TestReplacement:

@@ -221,6 +221,18 @@ class TestNumpyHelpers:
             z = rng.standard_normal((50, 7)) * scale
             assert np.array_equal(models.softmax(z), scipy_special.softmax(z, axis=1))
 
+    def test_softplus_within_2_ulp_of_logaddexp_without_warnings(self):
+        z = np.concatenate([
+            np.linspace(-800.0, 800.0, 160_001),
+            np.random.default_rng(0).uniform(-40.0, 40.0, 20_000),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 709.8, -709.8, 745.2, -745.2],
+        ])
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = models._act("softplus", z)
+        want = np.logaddexp(0.0, z)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
     def test_gradient_batch_runs_one_forward_pass(self, monkeypatch):
         m = fg.random_mlp(4, hidden=(5, 3), out_dim=3, activation="tanh", seed=2,
                           head=fg.Head("softmax", target=1))
