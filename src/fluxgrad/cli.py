@@ -226,8 +226,16 @@ def cmd_train_toy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, whose usage
+    errors are one ``error:`` line on stderr and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fluxgrad",
         description="Feature attribution by negative-flux aggregation, with "
         "gradient baselines, flux verification, and deletion/insertion evaluation.",

@@ -9,8 +9,6 @@ distribution shift both curves share.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -261,14 +259,6 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    env = os.environ.get("FLUXGRAD_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _sample_seed(master: int, method_idx: int, sample_idx: int) -> int:
     ss = np.random.SeedSequence(entropy=master, spawn_key=(method_idx, sample_idx))
     return int(ss.generate_state(1)[0])
@@ -286,16 +276,15 @@ def benchmark(
 
     ``methods`` maps method id -> callable (model, x, seed).  Per-sample
     seeds are derived counter-style from the master seed, and results are
-    reduced in (method, sample) order, so the table is identical for any
-    worker count.  Per-sample attribution failures are counted, not fatal.
+    reduced in (method, sample) order.  Per-sample attribution failures are
+    counted, not fatal.  The jobs run on the calling thread; ``threads`` is
+    accepted for compatibility and changes nothing.
     """
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     if not inputs or not methods:
         raise ValueError("benchmark needs at least one input and one method")
-    threads = _worker_count() if threads is None else max(1, threads)
 
-    def one(args):
-        mi, fn, xi, x = args
+    def one(mi, fn, xi, x):
         try:
             attr = fn(model, x, _sample_seed(seed, mi, xi))
             # blur without a grid is mean, so cfg's round is often one of the two
@@ -305,16 +294,11 @@ def benchmark(
         except FluxgradError:
             return None
 
-    jobs = [
-        (mi, fn, xi, x)
+    outcomes = [
+        one(mi, fn, xi, x)
         for mi, fn in enumerate(methods.values())
         for xi, x in enumerate(inputs)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(j) for j in jobs]
 
     results = []
     per_method = len(inputs)

@@ -22,11 +22,11 @@ for comparison but is not the default.
 
 The samples of one attribution are searched in lockstep: each recurrence
 step is one ``gradient_batch`` call over every sample still searching, and
-one more call at the final points gives the flux.  Every sample keeps its
-own generator, so it draws the same stream as a search run on its own.
+one more call at the final points gives the flux.  Each draw takes one
+(n_samples, N) block of sphere points from one generator, row i for sample i.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,20 +198,20 @@ def recurrence_step(
     return x_next[0]
 
 
-def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rngs):
-    """Find one negative-flux point per generator, all searches in lockstep.
+def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int):
+    """Find one negative-flux point for each of ``n`` samples, all in lockstep.
 
-    Returns the accepted points and the gradients there, row i drawn from
-    ``rngs[i]``.  Each round draws a start for every pending sample, makes
-    one ``gradient_batch`` call per recurrence step and one at the final
-    points, and accepts the rows whose flux is negative (every row when
-    ``reject_nonnegative`` is off).  Each sample has 10 * n_samples rounds.
-    A sample whose gradient vanishes, whose point lands on the center or
-    whose rounds run out fails alone; the search then raises the error of
-    the lowest-index failed sample, the one a sample-by-sample loop would
-    meet first.
+    Returns the accepted points and the gradients there.  Each draw takes
+    one (n, N) block of sphere points from ``rng`` and keeps the rows of
+    the pending samples; row i of every block is sample i's.  Each round
+    draws a start, makes one ``gradient_batch`` call per recurrence step
+    and one at the final points, and accepts the rows whose flux is
+    negative (every row when ``reject_nonnegative`` is off).  Each sample
+    has 10 * n_samples rounds.  A sample whose gradient vanishes, whose
+    point lands on the center or whose rounds run out fails alone; the
+    search then raises the error of the lowest-index failed sample, the one
+    a sample-by-sample loop would meet first.
     """
-    n = len(rngs)
     budget = 10 * config.n_samples
     steps = 0 if config.step_rule == "none" else config.max_steps
     points, grads = np.empty((n, sphere.dim)), np.empty((n, sphere.dim))
@@ -228,8 +228,7 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rngs):
         return go_on
 
     def draw():
-        starts = [sample_sphere(sphere, rngs[i]) for i in pending]
-        return np.array(starts).reshape(-1, sphere.dim)
+        return sphere_points(rng, n, sphere.center, sphere.radius)[pending]
 
     for _ in range(budget):
         x_t = draw()
@@ -271,26 +270,27 @@ def find_negative_flux_point(
     search :func:`neflag_attribute` runs.
     """
     rng = _as_rng(config.seed if seed is None else seed)
-    points, grads = _search(model, sphere, config, [rng])
+    points, grads = _search(model, sphere, config, rng, 1)
     return _flux_point(model, sphere, points[0], grads[0])
 
 
 def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> AttributionMap:
     """Aggregate F(x~) * (x - x~) over n_samples negative-flux points.
 
-    Per-sample seeds are derived from the master seed by index, so the
-    result is deterministic and independent of any evaluation order.  The
-    samples are searched in lockstep, one batched gradient call per
-    recurrence step for all of them, each drawing from its own generator.
-    Raw sums are reported (no 1/n normalization); magnitudes therefore
-    scale with n_samples and cross-n comparisons should use rankings.
+    One generator on the master seed's first child draws the starts as
+    (n_samples, N) blocks, row i for sample i, so a sample's candidates do
+    not depend on when the others are accepted (n_samples=1 keeps the
+    stream of :func:`find_negative_flux_point` on that child).  The samples
+    are searched in lockstep, one batched gradient call per recurrence step
+    for all of them.  Raw sums are reported (no 1/n normalization);
+    magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
     x = np.asarray(x, dtype=float)
     if x.size != model.dim:
         raise DimensionMismatch("input length does not match model dimension")
     sphere = SphereSpec(x, config.epsilon)
-    children = np.random.SeedSequence(config.seed).spawn(config.n_samples)
-    points, grads = _search(model, sphere, config, [np.random.default_rng(c) for c in children])
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    points, grads = _search(model, sphere, config, rng, config.n_samples)
     # numpy adds the rows in index order, as a running total over the samples would
     total = (grads * (x - points)).sum(axis=0)
     return AttributionMap(total, "neflag", config.to_params(), samples_used=config.n_samples)

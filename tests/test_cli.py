@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -200,6 +202,8 @@ class TestTrainToy:
         assert "input" in res.stderr
 
 
+NO_OUT = "<no --out>"  # a case holding this runs without the default --out
+
 MISUSE = {
     "neflag-samples-0": ["attribute", "--method", "neflag", "--samples", "0"],
     "neflag-epsilon-0": ["attribute", "--method", "neflag", "--epsilon", "0"],
@@ -224,6 +228,9 @@ MISUSE = {
     "train-toy-hidden-not-int": ["train-toy", "--hidden", "abc"],
     "train-toy-hidden-0": ["train-toy", "--hidden", "0"],
     "train-toy-epochs-0": ["train-toy", "--epochs", "0"],
+    "verify-out-missing": ["verify", NO_OUT],
+    "unknown-option": ["attribute", "--method", "saliency", "--bogus"],
+    "eval-replacement-bad-choice": ["eval", "--replacement", "white"],
 }
 
 
@@ -242,8 +249,9 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
         "eval": [*model, "--input", str(fixtures / "blobs.csv")],
         "train-toy": ["--input", str(fixtures / "blobs.csv")],
     }[argv[0]]
+    out_option = [] if NO_OUT in argv else ["--out", str(out / "o")]
     # the case's own options come last, so they override the defaults
-    res = run_cli(argv[0], *defaults, "--out", str(out / "o"), *argv[1:])
+    res = run_cli(argv[0], *defaults, *out_option, *[a for a in argv[1:] if a != NO_OUT])
     assert res.returncode == 2, res.stderr
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
@@ -253,6 +261,14 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, fluxgrad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool_or_logging():
+    code = ("import sys, fluxgrad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
@@ -400,6 +416,11 @@ def test_fuzzed_main_returns_a_documented_exit_code(fuzz_root, argv, model_text)
                 return bad if arg == "@bad.json" else str(fuzz_root / arg[1:])
             return out + arg[3:] if arg.startswith("OUT") else arg
 
-        code = cli.main([resolve(a) for a in argv])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([resolve(a) for a in argv])
         assert code in {0, 2, 3, 4, 5}, (argv, code)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert not [f for f in os.listdir(out) if f.endswith(".tmp")]

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import fluxgrad as fg
 from fluxgrad import neflag
+from fluxgrad.geometry import sphere_points
 from fluxgrad.neflag import NeflagConfig, SphereSpec
 
 
@@ -253,14 +256,17 @@ class TestTaylorHeatmap:
         assert np.array_equal(heat.values, contribution)
 
 
-def sequential_sample(model, sphere, cfg, rng):
-    """One sample's search, candidate by candidate, from the public one-point functions."""
+def sequential_sample(model, sphere, cfg, starts):
+    """One sample's search, candidate by candidate, from the public one-point functions.
+
+    ``starts`` yields the sample's sphere draws in order.
+    """
     for _ in range(10 * cfg.n_samples):
-        x_t = fg.sample_sphere(sphere, rng)
+        x_t = next(starts)
         if cfg.step_rule != "none":
             for _ in range(cfg.max_steps):
                 if cfg.resample_each_step:
-                    x_t = fg.sample_sphere(sphere, rng)
+                    x_t = next(starts)
                 x_t = fg.recurrence_step(model, sphere, x_t, cfg.step_rule)
         off = x_t - sphere.center
         dist = np.linalg.norm(off)
@@ -273,12 +279,25 @@ def sequential_sample(model, sphere, cfg, rng):
 
 
 def sequential_outcomes(model, x, cfg):
-    """Each sample's (point, gradient) or exception, one generator per seed child."""
+    """Each sample's (point, gradient) or exception, searched one sample after another.
+
+    One generator on the seed's first child draws (n_samples, N) blocks of
+    sphere points; sample i's k-th draw is row i of the k-th block.
+    """
     sphere = SphereSpec(x, cfg.epsilon)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    blocks = []
+
+    def starts(i):
+        for k in itertools.count():
+            if k == len(blocks):
+                blocks.append(sphere_points(rng, cfg.n_samples, sphere.center, sphere.radius))
+            yield blocks[k][i]
+
     outcomes = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples):
+    for i in range(cfg.n_samples):
         try:
-            outcomes.append(sequential_sample(model, sphere, cfg, np.random.default_rng(child)))
+            outcomes.append(sequential_sample(model, sphere, cfg, starts(i)))
         except fg.FluxgradError as exc:
             outcomes.append(exc)
     return outcomes
@@ -350,3 +369,36 @@ class TestLockstepSearch:
         calls.clear()
         fg.neflag_attribute(model, np.zeros(3), NeflagConfig(step_rule="normalized", max_steps=5))
         assert calls == ["gradient_batch"] * 6
+
+    def test_one_generator_and_full_blocks_per_attribution(self, monkeypatch):
+        generators, rows = [], []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: generators.append(a) or default_rng(*a))
+        monkeypatch.setattr(neflag, "sphere_points",
+                            lambda rng, n, *a: rows.append(n) or sphere_points(rng, n, *a))
+        model = fg.random_mlp(5, hidden=(7,), activation="tanh", seed=12)
+        # the none rule rejects candidates with outward flux, so samples leave
+        # the search in different rounds; resampling draws within a round
+        for kw in ({"step_rule": "none"}, {"step_rule": "normalized", "max_steps": 3,
+                                           "resample_each_step": True}):
+            generators.clear()
+            rows.clear()
+            fg.neflag_attribute(model, np.full(5, 0.3), NeflagConfig(n_samples=9, seed=4, **kw))
+            assert len(generators) == 1
+            assert len(rows) > 2 and set(rows) == {9}
+
+    @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_one_sample_keeps_the_stream_of_its_seed_child(self, kw):
+        model = fg.random_mlp(5, hidden=(7,), activation="tanh",
+                              head=fg.Head("sigmoid"), seed=12)
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            x = rng.standard_normal(5)
+            cfg = NeflagConfig(seed=seed, n_samples=1, **kw)
+            sphere = SphereSpec(x, cfg.epsilon)
+            child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            draws = (fg.sample_sphere(sphere, child) for _ in itertools.count())
+            point, grad = sequential_sample(model, sphere, cfg, draws)
+            att = fg.neflag_attribute(model, x, cfg)
+            assert np.array_equal(att.values, grad * (x - point))
