@@ -17,7 +17,6 @@ class SmoothGradConfig:
     sigma: float = 0.1
     samples: int = 50
     seed: int = 0
-    multiply_by_input: bool = False
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -69,8 +68,6 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
         with np.errstate(over="ignore"):  # a vast sigma gives inf, which gradient_batch rejects
             noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
         values = gradient_batch(model, x + noise).mean(axis=0)
-    if cfg.multiply_by_input:
-        values = values * x
     return AttributionMap(
         values,
         "smoothgrad",
@@ -78,7 +75,6 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
             "sigma": cfg.sigma,
             "samples": cfg.samples,
             "seed": cfg.seed,
-            "multiply_by_input": cfg.multiply_by_input,
         },
         samples_used=cfg.samples,
     )

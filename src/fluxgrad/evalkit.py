@@ -9,7 +9,7 @@ distribution shift both curves share.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -171,13 +171,18 @@ def two_round_difference(
 # multi-method benchmark
 
 
-def make_method(name: str, **params):
-    """Attribution method by id as a callable (model, x, seed) -> AttributionMap.
+METHODS = ("neflag", "ig", "smoothgrad", "saliency", "taylor", "random")
 
-    Known ids: neflag, ig, smoothgrad, saliency, taylor, random.  ``seed``
-    overrides any seed baked into params, so the benchmark can derive
-    per-sample seeds.  Invalid params raise ValueError here, not per call.
+
+def make_method(name: str, **params):
+    """Attribution method by id in ``METHODS`` as a callable (model, x, seed) -> AttributionMap.
+
+    ``seed`` overrides any seed baked into params, so the benchmark can
+    derive per-sample seeds.  An unknown id or invalid params raise
+    ValueError here, not per call.
     """
+    if name not in METHODS:
+        raise ValueError(f"unknown attribution method {name!r}")
     if name == "neflag":
         cfg = NeflagConfig(**params)
 
@@ -204,11 +209,9 @@ def make_method(name: str, **params):
         def run(model, x, seed):
             point = sample_sphere(SphereSpec(np.asarray(x, dtype=float), epsilon), seed)
             return taylor_heatmap(model, x, point)
-    elif name == "random":
+    else:  # random
         def run(model, x, seed):
             return random_attribution(model, x, seed)
-    else:
-        raise ValueError(f"unknown attribution method {name!r}")
     run.__name__ = name
     return run
 
@@ -245,17 +248,8 @@ class BenchmarkReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     def csv_str(self) -> str:
-        lines = [
-            "method,deletion_mean,deletion_se,insertion_mean,insertion_se,"
-            "difference_mean,difference_se,samples_ok,samples_failed"
-        ]
-        for r in self.results:
-            lines.append(
-                f"{r.method},{r.deletion_mean!r},{r.deletion_se!r},"
-                f"{r.insertion_mean!r},{r.insertion_se!r},"
-                f"{r.difference_mean!r},{r.difference_se!r},"
-                f"{r.samples_ok},{r.samples_failed}"
-            )
+        lines = [",".join(f.name for f in fields(MethodResult))]
+        lines += [",".join(str(v) for v in vars(r).values()) for r in self.results]
         return "\n".join(lines) + "\n"
 
 
@@ -270,63 +264,37 @@ def benchmark(
     methods: dict,
     cfg: EvalConfig = EvalConfig(),
     seed: int = 0,
-    threads: int | None = None,
 ) -> BenchmarkReport:
     """Deletion/insertion table over a list of inputs and named methods.
 
-    ``methods`` maps method id -> callable (model, x, seed).  Per-sample
-    seeds are derived counter-style from the master seed, and results are
-    reduced in (method, sample) order.  Per-sample attribution failures are
-    counted, not fatal.  The jobs run on the calling thread; ``threads`` is
-    accepted for compatibility and changes nothing.
+    ``methods`` maps method id -> callable (model, x, seed).  Each method
+    runs over every input in turn, on the calling thread, with per-sample
+    seeds derived counter-style from the master seed.  Per-sample
+    attribution failures are counted, not fatal.
     """
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     if not inputs or not methods:
         raise ValueError("benchmark needs at least one input and one method")
-
-    def one(mi, fn, xi, x):
-        try:
-            attr = fn(model, x, _sample_seed(seed, mi, xi))
-            # blur without a grid is mean, so cfg's round is often one of the two
-            own = _two_rounds(cfg)[1] if cfg.replacement == "blur" else cfg.replacement
-            aucs = _aucs(model, x, attr, cfg, (own, *_two_rounds(cfg)))
-            return (*aucs[own], _mean_difference(aucs, cfg))
-        except FluxgradError:
-            return None
-
-    outcomes = [
-        one(mi, fn, xi, x)
-        for mi, fn in enumerate(methods.values())
-        for xi, x in enumerate(inputs)
-    ]
+    rounds = _two_rounds(cfg)
+    # blur without a grid is mean, so cfg's round is often one of the two
+    own = rounds[1] if cfg.replacement == "blur" else cfg.replacement
 
     results = []
-    per_method = len(inputs)
-    for mi, name in enumerate(methods):
-        chunk = outcomes[mi * per_method : (mi + 1) * per_method]
-        ok = [c for c in chunk if c is not None]
-        failed = len(chunk) - len(ok)
-        if ok:
-            arr = np.asarray(ok)  # columns: deletion, insertion, difference
+    for mi, (name, fn) in enumerate(methods.items()):
+        rows = []  # (deletion, insertion, difference) of each sample that succeeded
+        for xi, x in enumerate(inputs):
+            try:
+                attr = fn(model, x, _sample_seed(seed, mi, xi))
+                aucs = _aucs(model, x, attr, cfg, (own, *rounds))
+            except FluxgradError:
+                continue
+            rows.append((*aucs[own], _mean_difference(aucs, cfg)))
+        if rows:
+            arr = np.asarray(rows)
             means = arr.mean(axis=0)
-            ses = (
-                arr.std(axis=0, ddof=1) / np.sqrt(len(ok))
-                if len(ok) > 1
-                else np.zeros(3)
-            )
+            ses = arr.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else np.zeros(3)
         else:
             means = ses = np.full(3, np.nan)
-        results.append(
-            MethodResult(
-                name,
-                float(means[0]),
-                float(ses[0]),
-                float(means[1]),
-                float(ses[1]),
-                float(means[2]),
-                float(ses[2]),
-                len(ok),
-                failed,
-            )
-        )
+        stats = [float(v) for pair in zip(means, ses) for v in pair]
+        results.append(MethodResult(name, *stats, len(rows), len(inputs) - len(rows)))
     return BenchmarkReport(tuple(results), cfg.replacement, seed)

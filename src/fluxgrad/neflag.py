@@ -60,10 +60,6 @@ class SphereSpec:
     def offset(self, point) -> np.ndarray:
         return np.asarray(point, dtype=float) - self.center
 
-    def on_surface(self, point, rtol: float = 1e-9) -> bool:
-        d = np.linalg.norm(self.offset(point))
-        return abs(d - self.radius) <= rtol * self.radius
-
 
 @dataclass(frozen=True, eq=False)
 class FluxPoint:

@@ -239,15 +239,6 @@ class TestBenchmark:
         b = fg.benchmark(m, inputs, methods, seed=5)
         assert a.csv_str() == b.csv_str()
 
-    def test_worker_count_does_not_change_results(self):
-        m = fg.random_mlp(3, hidden=(5,), activation="tanh",
-                          head=fg.Head("sigmoid"), seed=2)
-        inputs = [np.array([0.1, 0.2, 0.3]), np.array([-0.5, 0.4, 0.0])]
-        methods = {"neflag": make_method("neflag"), "smoothgrad": make_method("smoothgrad")}
-        serial = fg.benchmark(m, inputs, methods, seed=5, threads=1)
-        parallel = fg.benchmark(m, inputs, methods, seed=5, threads=8)
-        assert serial.csv_str() == parallel.csv_str()
-
     def test_per_sample_failures_are_recorded(self):
         # Attribution at the minimum of a bowl never finds negative flux.
         m = fg.quadratic_model([1.0, 1.0], head=fg.Head())
@@ -256,10 +247,50 @@ class TestBenchmark:
         report = fg.benchmark(m, inputs, methods, seed=0)
         row = report.results[0]
         assert row.samples_failed == 1 and row.samples_ok == 1
+        assert row.deletion_se == row.insertion_se == row.difference_se == 0.0
+        row = fg.benchmark(m, inputs[:1], methods, seed=0).results[0]
+        assert row.samples_failed == 1 and row.samples_ok == 0
+        assert np.all(np.isnan([row.deletion_mean, row.insertion_se, row.difference_mean]))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             make_method("shapley")
+
+    def test_report_bytes(self):
+        nan = float("nan")
+        report = evalkit.BenchmarkReport(
+            (evalkit.MethodResult("neflag", 0.1 + 0.2, 0.0, 0.5, 1e-17, -0.125, 2.5e-05, 3, 1),
+             evalkit.MethodResult("random", nan, nan, nan, nan, nan, nan, 0, 4)),
+            "blur", 7,
+        )
+        assert report.csv_str() == (
+            "method,deletion_mean,deletion_se,insertion_mean,insertion_se,"
+            "difference_mean,difference_se,samples_ok,samples_failed\n"
+            "neflag,0.30000000000000004,0.0,0.5,1e-17,-0.125,2.5e-05,3,1\n"
+            "random,nan,nan,nan,nan,nan,nan,0,4\n"
+        )
+        row = ('    {{\n      "deletion_mean": {0},\n      "deletion_se": {1},\n'
+               '      "difference_mean": {4},\n      "difference_se": {5},\n'
+               '      "insertion_mean": {2},\n      "insertion_se": {3},\n'
+               '      "method": "{6}",\n      "samples_failed": {8},\n      "samples_ok": {7}\n    }}')
+        assert report.json_str() == (
+            '{\n  "methods": [\n'
+            + row.format("0.30000000000000004", "0.0", "0.5", "1e-17", "-0.125", "2.5e-05", "neflag", 3, 1)
+            + ",\n"
+            + row.format(*["NaN"] * 6, "random", 0, 4)
+            + '\n  ],\n  "replacement": "blur",\n  "seed": 7\n}\n'
+        )
+
+
+@pytest.mark.parametrize("name", evalkit.METHODS)
+def test_every_catalogue_method_builds_a_full_map(name):
+    model = fg.random_mlp(4, hidden=(5,), activation="tanh", head=fg.Head("sigmoid"), seed=1)
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    amap = make_method(name)(model, x, 3)
+    assert amap.method == name
+    assert amap.values.shape == (4,) and np.all(np.isfinite(amap.values))
+    with pytest.raises(ValueError, match="unknown attribution method"):
+        make_method(name.upper())
 
 
 class TestAttributionFiles:
