@@ -7,7 +7,7 @@ import numpy as np
 
 from .attribution import AttributionMap
 from .errors import DimensionMismatch
-from .models import Model, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,12 @@ class IgConfig:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.baseline is not None:
-            b = np.ascontiguousarray(np.asarray(self.baseline, dtype=float))
-            b.setflags(write=False)
-            object.__setattr__(self, "baseline", b)
-
-
-def _check_x(model: Model, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.size != model.dim:
-        raise DimensionMismatch("input length does not match model dimension")
-    return x
+            object.__setattr__(self, "baseline", _readonly(self.baseline))
 
 
 def saliency(model: Model, x) -> AttributionMap:
     """The raw gradient at x."""
-    x = _check_x(model, x)
+    x = _check_input(model, x)
     return AttributionMap(gradient(model, x), "saliency")
 
 
@@ -60,7 +51,7 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
     sigma=0 short-circuits to the plain gradient so it equals saliency
     bit-for-bit (averaging identical rows would round the last ulp).
     """
-    x = _check_x(model, x)
+    x = _check_input(model, x)
     if cfg.sigma == 0.0:
         values = gradient(model, x)
     else:
@@ -86,7 +77,7 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     Midpoint Riemann sum: (x - b) * mean_j grad(b + (j - 1/2)/steps (x - b)),
     which is second-order accurate in the step count.
     """
-    x = _check_x(model, x)
+    x = _check_input(model, x)
     baseline = np.zeros_like(x) if cfg.baseline is None else np.asarray(cfg.baseline)
     if baseline.size != x.size:
         raise DimensionMismatch("baseline length does not match input")
@@ -108,6 +99,6 @@ def ig_completeness_gap(model: Model, x, attribution: AttributionMap, baseline=N
 
 def random_attribution(model: Model, x, seed: int = 0) -> AttributionMap:
     """Standard-normal scores, the null reference for evaluation harnesses."""
-    x = _check_x(model, x)
+    x = _check_input(model, x)
     rng = np.random.default_rng(seed)
     return AttributionMap(rng.standard_normal(x.size), "random", {"seed": seed})

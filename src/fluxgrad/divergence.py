@@ -41,6 +41,16 @@ class IntegralEstimate:
             raise ValueError("samples must be >= 1")
 
 
+def _estimate(vals: np.ndarray, scale: float) -> IntegralEstimate:
+    """scale * the mean row of vals, and its standard error; floats if vals is a vector."""
+    n = len(vals)
+    value = scale * vals.mean(axis=0)
+    se = scale * vals.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(value)
+    if vals.ndim == 1:
+        value, se = float(value), float(se)
+    return IntegralEstimate(value, se, n)
+
+
 def _require_smooth(model: Model):
     if model.uses_relu:
         raise NotSmooth("field not continuously differentiable (relu activation)")
@@ -82,10 +92,7 @@ def volume_divergence_integral(
     _require_smooth(model)
     rng = np.random.default_rng(seed)
     pts = ball_points(rng, samples, ball.center, ball.radius)
-    divs = _divergence_fd_batch(model, pts, h)
-    vol = ball_volume(ball.dim, ball.radius)
-    se = vol * divs.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
-    return IntegralEstimate(vol * float(divs.mean()), float(se), samples)
+    return _estimate(_divergence_fd_batch(model, pts, h), ball_volume(ball.dim, ball.radius))
 
 
 def surface_flux_integral(
@@ -120,18 +127,8 @@ def surface_flux_integral(
         mask = flux >= 0.0
     else:
         mask = np.ones(samples, dtype=bool)
-    area = sphere_area(sphere.dim, sphere.radius)
-    if mode == "dot":
-        vals = np.where(mask, flux, 0.0)
-        se = area * vals.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
-        return IntegralEstimate(area * float(vals.mean()), float(se), samples)
-    vals = grads * normals * mask[:, None]
-    se = (
-        area * vals.std(axis=0, ddof=1) / np.sqrt(samples)
-        if samples > 1
-        else np.zeros(sphere.dim)
-    )
-    return IntegralEstimate(area * vals.mean(axis=0), se, samples)
+    vals = np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None]
+    return _estimate(vals, sphere_area(sphere.dim, sphere.radius))
 
 
 @dataclass(frozen=True)

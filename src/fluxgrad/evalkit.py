@@ -23,7 +23,7 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import Model, evaluate_batch, path_scores
+from .models import Model, _readonly, evaluate_batch, path_scores
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
@@ -65,9 +65,7 @@ class EvalCurve:
 
     def __post_init__(self):
         for name in ("fractions", "scores"):
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         if self.fractions[0] != 0.0 or self.fractions[-1] != 1.0:
             raise ValueError("fractions must run from 0 to 1")
         if np.any(np.diff(self.fractions) <= 0):
@@ -178,24 +176,27 @@ def make_method(name: str, **params):
     """Attribution method by id in ``METHODS`` as a callable (model, x, seed) -> AttributionMap.
 
     ``seed`` overrides any seed baked into params, so the benchmark can
-    derive per-sample seeds.  An unknown id or invalid params raise
-    ValueError here, not per call.
+    derive per-sample seeds.  An unknown id, an unknown parameter or an
+    invalid value raise ValueError here, not per call.
     """
     if name not in METHODS:
         raise ValueError(f"unknown attribution method {name!r}")
+    config = {"neflag": NeflagConfig, "ig": IgConfig, "smoothgrad": SmoothGradConfig}.get(name)
+    if config is not None:
+        known = {f.name for f in fields(config)}
+    else:
+        known = {"epsilon"} if name == "taylor" else set()
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise ValueError(f"unknown {name} parameter(s): {', '.join(unknown)}")
+    cfg = config(**params) if config else None
     if name == "neflag":
-        cfg = NeflagConfig(**params)
-
         def run(model, x, seed):
             return neflag_attribute(model, x, replace(cfg, seed=seed))
     elif name == "ig":
-        cfg = IgConfig(**params)
-
         def run(model, x, seed):
             return integrated_gradients(model, x, cfg)
     elif name == "smoothgrad":
-        cfg = SmoothGradConfig(**params)
-
         def run(model, x, seed):
             return smoothgrad(model, x, replace(cfg, seed=seed))
     elif name == "saliency":

@@ -212,6 +212,14 @@ class Model:
 # evaluation and gradients
 
 
+def _check_input(model: Model, x) -> np.ndarray:
+    """x as a float array, checked to have the model's length."""
+    x = np.asarray(x, dtype=float)
+    if x.size != model.dim:
+        raise DimensionMismatch("input length does not match model dimension")
+    return x
+
+
 def _check_batch(model: Model, xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != model.dim:

@@ -15,10 +15,8 @@ direction, in one of two flavors:
 * ``none``        -- pure rejection sampling: keep the uniform sphere draw
   as-is (useful as an unbiased reference for the surface integral).
 
-The recurrence is run ``max_steps`` times on a single sampled start by
-default.  ``resample_each_step=True`` instead redraws the start before
-every step, which discards the recurrence state; it is kept selectable
-for comparison but is not the default.
+Each candidate is one uniform start refined by ``max_steps`` recurrence
+steps; a candidate without negative flux is dropped for a fresh start.
 
 The samples of one attribution are searched in lockstep: each recurrence
 step is one ``gradient_batch`` call over every sample still searching, and
@@ -33,7 +31,7 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
 from .geometry import sphere_points
-from .models import Model, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
 
@@ -46,9 +44,7 @@ class SphereSpec:
     radius: float
 
     def __post_init__(self):
-        center = np.ascontiguousarray(np.asarray(self.center, dtype=float))
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", _readonly(self.center))
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
@@ -86,8 +82,9 @@ class NeflagConfig:
     """Knobs of the negative-flux search and aggregation.
 
     ``n_samples`` negative-flux points are aggregated; each is found by
-    running ``max_steps`` recurrence updates from a fresh uniform sphere
-    sample.  Defaults epsilon=0.1, n_samples=20, max_steps=1.
+    running ``max_steps`` recurrence updates from one uniform sphere sample,
+    redrawn for each rejected candidate.  Defaults epsilon=0.1, n_samples=20,
+    max_steps=1.
     """
 
     epsilon: float = 0.1
@@ -96,7 +93,6 @@ class NeflagConfig:
     step_rule: str = "sign"
     seed: int = 0
     reject_nonnegative: bool = True
-    resample_each_step: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -116,20 +112,12 @@ class NeflagConfig:
             "step_rule": self.step_rule,
             "seed": self.seed,
             "reject_nonnegative": self.reject_nonnegative,
-            "resample_each_step": self.resample_each_step,
         }
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def sample_sphere(sphere: SphereSpec, seed) -> np.ndarray:
     """One point drawn uniformly on the sphere surface."""
-    rng = _as_rng(seed)
-    return sphere_points(rng, 1, sphere.center, sphere.radius)[0]
+    return sphere_points(np.random.default_rng(seed), 1, sphere.center, sphere.radius)[0]
 
 
 def _flux_point(model: Model, sphere: SphereSpec, x_t, grad) -> FluxPoint:
@@ -223,14 +211,9 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         pending = pending[go_on]
         return go_on
 
-    def draw():
-        return sphere_points(rng, n, sphere.center, sphere.radius)[pending]
-
     for _ in range(budget):
-        x_t = draw()
+        x_t = sphere_points(rng, n, sphere.center, sphere.radius)[pending]
         for _ in range(steps):
-            if config.resample_each_step:
-                x_t = draw()
             x_t, stationary = _steps(sphere, gradient_batch(model, x_t), config.step_rule)
             x_t = x_t[fail(stationary, StationaryGradient("stationary gradient, cannot step"))]
         off = x_t - sphere.center
@@ -265,7 +248,7 @@ def find_negative_flux_point(
     raises :class:`NoNegativeFlux`.  This is the one-sample case of the
     search :func:`neflag_attribute` runs.
     """
-    rng = _as_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed if seed is None else seed)
     points, grads = _search(model, sphere, config, rng, 1)
     return _flux_point(model, sphere, points[0], grads[0])
 
@@ -281,9 +264,7 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     for all of them.  Raw sums are reported (no 1/n normalization);
     magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != model.dim:
-        raise DimensionMismatch("input length does not match model dimension")
+    x = _check_input(model, x)
     sphere = SphereSpec(x, config.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     points, grads = _search(model, sphere, config, rng, config.n_samples)
@@ -298,9 +279,7 @@ def taylor_heatmap(model: Model, x, x_t) -> AttributionMap:
     When x~ lies on the epsilon-sphere this equals the single-sample
     negative-flux contribution from x~ by construction.
     """
-    x = np.asarray(x, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    if x.size != model.dim or x_t.size != model.dim:
-        raise DimensionMismatch("input length does not match model dimension")
+    x = _check_input(model, x)
+    x_t = _check_input(model, x_t)
     values = gradient(model, x_t) * (x - x_t)
     return AttributionMap(values, "taylor", {"expansion_point": x_t.tolist()})

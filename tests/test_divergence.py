@@ -97,6 +97,24 @@ class TestSurfaceFluxIntegral:
         assert 1.3 <= np.mean(ratios) <= 1.5
 
 
+@pytest.mark.parametrize("samples", [1, 5])
+def test_estimate_types_and_one_sample_standard_error(samples):
+    model = fg.quadratic_model([1.0, 2.0, 3.0])
+    sphere = SphereSpec(np.array([0.1, 0.0, -0.2]), 0.5)
+    vol = fg.volume_divergence_integral(model, sphere, samples, seed=3)
+    dot = fg.surface_flux_integral(model, sphere, samples, seed=3)
+    elem = fg.surface_flux_integral(model, sphere, samples, seed=3, mode="elementwise")
+    for est in (vol, dot):
+        assert type(est.value) is float and type(est.standard_error) is float
+    for value in (elem.value, elem.standard_error):
+        assert type(value) is np.ndarray and value.shape == (3,)
+    assert vol.samples == dot.samples == elem.samples == samples
+    assert np.asarray(elem.value).sum() == pytest.approx(dot.value, abs=1e-12)
+    if samples == 1:
+        assert vol.standard_error == dot.standard_error == 0.0
+        assert np.array_equal(elem.standard_error, np.zeros(3))
+
+
 class TestSecantFluxErrorOrder:
     def test_error_halves_with_radius(self):
         # |exact - approx| is first order in the radius, so halving the

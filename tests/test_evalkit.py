@@ -293,6 +293,15 @@ def test_every_catalogue_method_builds_a_full_map(name):
         make_method(name.upper())
 
 
+UNKNOWN_PARAMS = [(name, "bogus") for name in evalkit.METHODS] + [("taylor", "n_samples"), ("ig", "sigma")]
+
+
+@pytest.mark.parametrize("name, key", UNKNOWN_PARAMS, ids=[f"{n}-{k}" for n, k in UNKNOWN_PARAMS])
+def test_unknown_parameter_is_a_value_error_naming_it(name, key):
+    with pytest.raises(ValueError, match=f"unknown {name} parameter.*{key}"):
+        make_method(name, **{key: 1})
+
+
 class TestAttributionFiles:
     def test_json_round_trip(self):
         att = AttributionMap([1.0, -2.5, 0.0], "neflag", {"epsilon": 0.1}, 20)

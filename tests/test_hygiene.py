@@ -1,0 +1,56 @@
+"""Static checks over the package source, with the standard library only.
+
+Every import of a module in ``src/fluxgrad`` is used, and every private
+module-level function or class is referenced somewhere in ``src/``.
+``__init__.py`` re-exports names it does not use, so it is only searched
+for references.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fluxgrad"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def imported_names(tree):
+    """The names each import statement of the module binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.asname or a.name for a in node.names)
+
+
+def referenced_names(tree):
+    """Every name the module reads, looks up as an attribute or imports from elsewhere."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    tree = TREES[module]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unreferenced_private_definition(module):
+    private = [
+        node.name
+        for node in TREES[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    referenced = {name for tree in TREES.values() for name in referenced_names(tree)}
+    assert sorted(set(private) - referenced) == []

@@ -225,6 +225,12 @@ class TestNeflagAttribute:
         assert np.array_equal(first.values, second.values)
         assert first.samples_used == second.samples_used
 
+    def test_params_name_every_config_field(self):
+        cfg = NeflagConfig(epsilon=0.2, n_samples=3, max_steps=2, step_rule="normalized", seed=5)
+        att = fg.neflag_attribute(fg.linear_model([1.0, -2.0]), np.zeros(2), cfg)
+        assert att.params == {"epsilon": 0.2, "n": 3, "m": 2, "step_rule": "normalized",
+                              "seed": 5, "reject_nonnegative": True}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NeflagConfig(epsilon=-1.0)
@@ -265,8 +271,6 @@ def sequential_sample(model, sphere, cfg, starts):
         x_t = next(starts)
         if cfg.step_rule != "none":
             for _ in range(cfg.max_steps):
-                if cfg.resample_each_step:
-                    x_t = next(starts)
                 x_t = fg.recurrence_step(model, sphere, x_t, cfg.step_rule)
         off = x_t - sphere.center
         dist = np.linalg.norm(off)
@@ -308,8 +312,6 @@ class TestLockstepSearch:
         "sign": {},
         "normalized-m5": {"step_rule": "normalized", "max_steps": 5},
         "none": {"step_rule": "none"},
-        "resample-each-step": {"step_rule": "normalized", "max_steps": 3,
-                               "resample_each_step": True},
         "keep-nonnegative": {"step_rule": "none", "reject_nonnegative": False},
     }
 
@@ -340,7 +342,7 @@ class TestLockstepSearch:
         ])
         bowl = fg.quadratic_model([1.0, 1.0])
         later_failure_first = 0
-        for model, kw in ((vee, {}), (vee, {"max_steps": 3, "resample_each_step": True}),
+        for model, kw in ((vee, {}), (vee, {"max_steps": 3}),
                           (bowl, {})):
             for seed in range(25):
                 cfg = NeflagConfig(epsilon=0.1, n_samples=2, step_rule="normalized",
@@ -379,14 +381,13 @@ class TestLockstepSearch:
                             lambda rng, n, *a: rows.append(n) or sphere_points(rng, n, *a))
         model = fg.random_mlp(5, hidden=(7,), activation="tanh", seed=12)
         # the none rule rejects candidates with outward flux, so samples leave
-        # the search in different rounds; resampling draws within a round
-        for kw in ({"step_rule": "none"}, {"step_rule": "normalized", "max_steps": 3,
-                                           "resample_each_step": True}):
-            generators.clear()
-            rows.clear()
-            fg.neflag_attribute(model, np.full(5, 0.3), NeflagConfig(n_samples=9, seed=4, **kw))
-            assert len(generators) == 1
-            assert len(rows) > 2 and set(rows) == {9}
+        # the search in different rounds
+        cfg = NeflagConfig(n_samples=9, seed=4, step_rule="none")
+        generators.clear()
+        rows.clear()
+        fg.neflag_attribute(model, np.full(5, 0.3), cfg)
+        assert len(generators) == 1
+        assert len(rows) > 2 and set(rows) == {9}
 
     @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
     def test_one_sample_keeps_the_stream_of_its_seed_child(self, kw):
