@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     FluxgradError,
     NoNegativeFlux,
+    NonFiniteAttribution,
     NonFiniteInput,
     NotSmooth,
     OffSphere,

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NonFiniteAttribution
+
 
 @dataclass(frozen=True, eq=False)
 class AttributionMap:
@@ -25,7 +27,7 @@ class AttributionMap:
         if values.ndim != 1:
             raise ValueError("attribution values must be a flat vector")
         if not np.all(np.isfinite(values)):
-            raise ValueError("attribution values must be finite")
+            raise NonFiniteAttribution("attribution values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -82,9 +82,10 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     if baseline.size != x.size:
         raise DimensionMismatch("baseline length does not match input")
     alphas = (np.arange(cfg.steps) + 0.5) / cfg.steps
-    path = baseline + alphas[:, None] * (x - baseline)
-    grads = gradient_batch(model, path)
-    values = (x - baseline) * grads.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a vast x - baseline gives a map AttributionMap rejects
+        path = baseline + alphas[:, None] * (x - baseline)
+        grads = gradient_batch(model, path)
+        values = (x - baseline) * grads.mean(axis=0)
     return AttributionMap(
         values, "ig", {"steps": cfg.steps, "baseline": baseline.tolist()}
     )

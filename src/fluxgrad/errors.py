@@ -13,6 +13,10 @@ class NonFiniteInput(FluxgradError, ValueError):
     """Input vector contains NaN or infinite components."""
 
 
+class NonFiniteAttribution(FluxgradError, ValueError):
+    """An attribution map holds NaN or infinite scores."""
+
+
 class OffSphere(FluxgradError, ValueError):
     """A point claimed to lie on a sphere is too far from its surface."""
 

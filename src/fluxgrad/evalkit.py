@@ -8,6 +8,7 @@ higher insertion AUC are better; their difference neutralizes the
 distribution shift both curves share.
 """
 
+import contextlib
 import json
 from dataclasses import dataclass, fields, replace
 
@@ -23,7 +24,7 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import Model, _readonly, evaluate_batch, path_scores
+from .models import Model, _readonly, evaluate_batch, path_change, path_scores
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
@@ -104,37 +105,46 @@ def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
     return np.full_like(x, x.mean())
 
 
-def _curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig, delete: bool) -> EvalCurve:
-    """Scores as features move, best first, from x to the replacement or (insertion) back."""
+def _round(model: Model, x, cfg: EvalConfig):
+    """One replacement round of x: a function from a feature order and the directions wanted,
+    deletion (True) and insertion (False), to their curves.  The replacement, its exact
+    ends and :func:`models.path_change` are built once for every curve of the round."""
     x = np.asarray(x, dtype=float)
-    if x.size != len(attribution) or x.size != model.dim:
-        raise DimensionMismatch("input, attribution, and model dimensions must agree")
     repl = replacement_input(x, cfg)
-    start, target = (x, repl) if delete else (repl, x)
-    n = x.size
-    counts = np.append(np.arange(0, n, cfg.features_per_step), n)
-    # The ends exactly, so a deletion curve ends where its insertion curve starts.
-    ends = evaluate_batch(model, np.stack([start, target]))
-    inner = path_scores(model, start, target, feature_order(attribution, cfg.absolute), counts[1:-1])
-    scores = np.concatenate([ends[:1], inner, ends[1:]])
-    fractions = counts / n
-    return EvalCurve(fractions, scores, float(np.trapezoid(scores, fractions)))
+    ends = evaluate_batch(model, np.stack([x, repl]))  # exact, so deletion ends where insertion starts
+    path = path_change(model, x, repl)
+    counts = np.append(np.arange(0, x.size, cfg.features_per_step), x.size)
+    fractions = counts / x.size
+
+    def curves(order, directions=(True, False)) -> list:
+        inner = path_scores(model, path, order, counts[1:-1], directions)
+        scores = [np.concatenate([ends[:1], s, ends[1:]] if delete else [ends[1:], s, ends[:1]])
+                  for delete, s in zip(directions, inner)]
+        return [EvalCurve(fractions, s, float(np.trapezoid(s, fractions))) for s in scores]
+
+    return curves
+
+
+def _ranking(model: Model, attribution: AttributionMap, cfg: EvalConfig) -> np.ndarray:
+    """The order in which the curves move features, for a map of the model's length."""
+    if len(attribution) != model.dim:
+        raise DimensionMismatch("input, attribution, and model dimensions must agree")
+    return feature_order(attribution, cfg.absolute)
 
 
 def deletion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as top-attributed features are replaced, best first."""
-    return _curve(model, x, attribution, cfg, delete=True)
+    return _round(model, x, cfg)(_ranking(model, attribution, cfg), (True,))[0]
 
 
 def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as original features are restored into the replaced input."""
-    return _curve(model, x, attribution, cfg, delete=False)
+    return _round(model, x, cfg)(_ranking(model, attribution, cfg), (False,))[0]
 
 
 def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Insertion AUC minus deletion AUC under the same replacement mode."""
-    ins = insertion_curve(model, x, attribution, cfg)
-    dele = deletion_curve(model, x, attribution, cfg)
+    dele, ins = _round(model, x, cfg)(_ranking(model, attribution, cfg))
     return ins.auc - dele.auc
 
 
@@ -143,26 +153,16 @@ def _two_rounds(cfg: EvalConfig) -> tuple:
     return ("black", "blur" if cfg.grid is not None else "mean")
 
 
-def _aucs(model: Model, x, attribution: AttributionMap, cfg: EvalConfig, modes) -> dict:
-    """(deletion AUC, insertion AUC) once for each distinct replacement mode in ``modes``."""
-    out = {}
-    for mode in dict.fromkeys(modes):
-        c = replace(cfg, replacement=mode)
-        out[mode] = (deletion_curve(model, x, attribution, c).auc,
-                     insertion_curve(model, x, attribution, c).auc)
-    return out
-
-
 def _mean_difference(aucs: dict, cfg: EvalConfig) -> float:
-    """The two-round difference from the AUCs of its rounds, as given by :func:`_aucs`."""
+    """The two-round difference from the (deletion, insertion) AUCs of each replacement mode."""
     return float(np.mean([ins - dele for dele, ins in (aucs[m] for m in _two_rounds(cfg))]))
 
 
-def two_round_difference(
-    model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()
-) -> float:
+def two_round_difference(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Mean difference score over the black round and the blur/mean round."""
-    return _mean_difference(_aucs(model, x, attribution, cfg, _two_rounds(cfg)), cfg)
+    order = _ranking(model, attribution, cfg)
+    aucs = {m: [c.auc for c in _round(model, x, replace(cfg, replacement=m))(order)] for m in _two_rounds(cfg)}
+    return _mean_difference(aucs, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -268,34 +268,42 @@ def benchmark(
 ) -> BenchmarkReport:
     """Deletion/insertion table over a list of inputs and named methods.
 
-    ``methods`` maps method id -> callable (model, x, seed).  Each method
-    runs over every input in turn, on the calling thread, with per-sample
-    seeds derived counter-style from the master seed.  Per-sample
-    attribution failures are counted, not fatal.
-    """
+    ``methods`` maps method id -> callable (model, x, seed).  Inputs run in turn on the
+    calling thread: every method attributes one, with per-sample seeds derived counter-style
+    from the master seed, then each distinct replacement round of it is built once for all
+    their curves.  Per-sample failures are counted, not fatal; an input that no round can be
+    built for (a NaN, a wrong length, a grid mismatch) fails every method."""
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     if not inputs or not methods:
         raise ValueError("benchmark needs at least one input and one method")
-    rounds = _two_rounds(cfg)
     # blur without a grid is mean, so cfg's round is often one of the two
-    own = rounds[1] if cfg.replacement == "blur" else cfg.replacement
+    own = _two_rounds(cfg)[1] if cfg.replacement == "blur" else cfg.replacement
+    rows = {name: [] for name in methods}  # (deletion, insertion, difference) of each sample that succeeded
+    for xi, x in enumerate(inputs):
+        orders = {}
+        for mi, (name, fn) in enumerate(methods.items()):
+            with contextlib.suppress(FluxgradError):
+                orders[name] = _ranking(model, fn(model, x, _sample_seed(seed, mi, xi)), cfg)
+        aucs = {name: {} for name in orders}
+        try:
+            for mode in dict.fromkeys((own, *_two_rounds(cfg))):
+                rnd = _round(model, x, replace(cfg, replacement=mode))
+                for name, order in orders.items():
+                    aucs[name][mode] = [c.auc for c in rnd(order)]
+                del rnd  # one round alive at a time
+        except FluxgradError:  # the input itself is at fault
+            continue
+        for name, a in aucs.items():
+            rows[name].append((*a[own], _mean_difference(a, cfg)))
 
     results = []
-    for mi, (name, fn) in enumerate(methods.items()):
-        rows = []  # (deletion, insertion, difference) of each sample that succeeded
-        for xi, x in enumerate(inputs):
-            try:
-                attr = fn(model, x, _sample_seed(seed, mi, xi))
-                aucs = _aucs(model, x, attr, cfg, (own, *rounds))
-            except FluxgradError:
-                continue
-            rows.append((*aucs[own], _mean_difference(aucs, cfg)))
-        if rows:
-            arr = np.asarray(rows)
+    for name, r in rows.items():
+        if r:
+            arr = np.asarray(r)
             means = arr.mean(axis=0)
-            ses = arr.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else np.zeros(3)
+            ses = arr.std(axis=0, ddof=1) / np.sqrt(len(r)) if len(r) > 1 else np.zeros(3)
         else:
             means = ses = np.full(3, np.nan)
         stats = [float(v) for pair in zip(means, ses) for v in pair]
-        results.append(MethodResult(name, *stats, len(rows), len(inputs) - len(rows)))
+        results.append(MethodResult(name, *stats, len(r), len(inputs) - len(r)))
     return BenchmarkReport(tuple(results), cfg.replacement, seed)

@@ -51,8 +51,10 @@ def _act(name, z):
         return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
-    if name == "softplus":  # log(1 + e^z), without overflow
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    if name == "softplus":  # log(1 + e^z) = max(z, 0) + log1p(e^-|z|), without overflow, in one buffer
+        t = np.abs(z)
+        np.log1p(np.exp(np.negative(t, out=t), out=t), out=t)
+        return np.add(t, np.maximum(z, 0.0), out=t)
     return z
 
 
@@ -334,24 +336,30 @@ def evaluate_batch(model: Model, xs) -> np.ndarray:
     return _headed(model, _raw_batch(model, _check_batch(model, xs))[0])
 
 
-def path_scores(model: Model, start, target, order, counts) -> np.ndarray:
-    """Output after the head along the path that moves start to target.
-
-    Point k of the path is ``start`` with the features ``order[:k]`` taken
-    from ``target``; the result holds the output at each k in ``counts``.
-    Its first stage is that of ``start`` plus the running sum, in
-    ``order``, of the per-feature changes phi_j(target_j) - phi_j(start_j):
-    O(N m) work in place of the first stage of an (N + 1, N) row matrix.
-    So point k matches ``evaluate_batch`` of its row within rounding; the
-    sum is not exact at k = N, so evaluate ``target`` where it must be.
-    """
+def path_change(model: Model, start, target):
+    """First stages of start and target, and their (N, m) change phi_j(target_j) - phi_j(start_j)."""
     start, target = (_check_batch(model, v) for v in (start, target))  # every row's entries
     change = _feature_terms(model, target[0]) - _feature_terms(model, start[0])
+    return _first_stage(model, start), _first_stage(model, target), change
+
+
+def path_scores(model: Model, path, order, counts, directions=(True, False)) -> list:
+    """Output after the head along the path that moves start to target (True), or back (False).
+
+    ``path`` is :func:`path_change` of (start, target).  Point k is ``start``
+    with the features ``order[:k]`` taken from ``target``, or the reverse, and
+    each direction gives the output at each k in ``counts``.  Both share one
+    running sum, in ``order``, of the change: the first stage is s(start) plus
+    it, or s(target) minus it, which is exactly s(target) plus the running sum
+    of the negated change.  O(N m) work in place of an (N + 1, N) row matrix,
+    so point k matches ``evaluate_batch`` of its row within rounding; the sum
+    is not exact at k = N, so evaluate the ends where they must be exact."""
+    s_start, s_target, change = path
     moved = np.zeros((change.shape[0] + 1, change.shape[1]))
     np.cumsum(change[order], axis=0, out=moved[1:])
-    stage = _first_stage(model, start) + moved[counts]
-    del change, moved  # free them before the rest of the model allocates its own arrays
-    return _headed(model, _rest(model, stage)[0])
+    moved = moved[counts]  # free the full sum before the rest of the model allocates its own arrays
+    return [_headed(model, _rest(model, s_start + moved if forward else s_target - moved)[0])
+            for forward in directions]
 
 
 def _headed(model: Model, raw):

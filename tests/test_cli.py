@@ -36,6 +36,7 @@ def fixtures(tmp_path_factory):
         fg.random_mlp(2, hidden=(4,), activation="relu", seed=0), root / "relu.json"
     )
     (root / "origin2.txt").write_text("0.0, 0.0\n")
+    (root / "huge2.txt").write_text("1e308 1e308\n")
     X, y = fg.blob_dataset(80, margin=1.0, seed=3)
     fg.save_dataset_csv(root / "blobs.csv", X, y)
     (root / "empty.csv").write_text("")
@@ -212,6 +213,7 @@ MISUSE = {
     "smoothgrad-samples-0": ["attribute", "--method", "smoothgrad", "--samples", "0"],
     "smoothgrad-sigma-neg": ["attribute", "--method", "smoothgrad", "--sigma", "-1"],
     "ig-steps-0": ["attribute", "--method", "ig", "--steps", "0"],
+    "ig-non-finite-map": ["attribute", "--method", "ig", "--input", "{huge}"],
     "taylor-epsilon-neg": ["attribute", "--method", "taylor", "--epsilon", "-1"],
     "grid-too-big": ["attribute", "--method", "saliency", "--grid", "3x3"],
     "grid-negative": ["attribute", "--method", "saliency", "--grid=-1x-2"],
@@ -240,8 +242,8 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.format(baddim=tmp_path / "baddim.json", missing=out / "missing" / "o")
-            for a in argv]
+    argv = [a.format(baddim=tmp_path / "baddim.json", missing=out / "missing" / "o",
+                     huge=fixtures / "huge2.txt") for a in argv]
     model = ["--model", str(fixtures / "linear.json")]
     defaults = {
         "attribute": [*model, "--input", str(fixtures / "origin2.txt")],

@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -143,22 +145,108 @@ def test_non_finite_input_still_rejected(repl):
                 curve(m, [0.5, bad, 1.0], att, EvalConfig(repl))
 
 
-@pytest.mark.parametrize("cfg", [EvalConfig("blur", grid=(2, 5)), EvalConfig("blur"), EvalConfig("black")],
-                         ids=["blur-grid", "blur-no-grid", "black"])
-def test_benchmark_job_builds_four_curves(monkeypatch, cfg):
+ROUND_CONFIGS = {
+    "blur-grid": (EvalConfig("blur", grid=(2, 5)), 2),
+    "blur-no-grid": (EvalConfig("blur"), 2),
+    "black": (EvalConfig("black"), 2),
+    "mean-grid": (EvalConfig("mean", grid=(2, 5)), 3),  # mean, black and blur
+}
+
+
+@pytest.mark.parametrize("cfg, rounds", ROUND_CONFIGS.values(), ids=ROUND_CONFIGS.keys())
+def test_benchmark_builds_each_round_once(monkeypatch, cfg, rounds):
     model = fg.random_mlp(10, hidden=(6,), activation="tanh", seed=5, head=fg.Head("sigmoid"))
     x = np.random.default_rng(5).uniform(0.0, 1.0, 10)
-    calls = []
-    for name in ("deletion_curve", "insertion_curve"):
-        curve = getattr(evalkit, name)
-        monkeypatch.setattr(evalkit, name, lambda *a, _curve=curve, **k: calls.append(1) or _curve(*a, **k))
-    row = fg.benchmark(model, [x], {"saliency": make_method("saliency")}, cfg).results[0]
-    assert len(calls) == 4
+    calls = Counter()
+    for module, name in ((evalkit, "replacement_input"), (fg.models, "_feature_terms")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k))
+    for names in (["saliency"], ["saliency", "ig", "random"]):
+        calls.clear()
+        row = fg.benchmark(model, [x], {name: make_method(name) for name in names}, cfg).results[0]
+        # φ(x) and φ(replacement) once per round, however many methods share it
+        assert calls == {"replacement_input": rounds, "_feature_terms": 2 * rounds}
     monkeypatch.undo()
     att = fg.saliency(model, x)
     assert row.difference_mean == fg.two_round_difference(model, x, att, cfg)
     assert row.deletion_mean == fg.deletion_curve(model, x, att, cfg).auc
     assert row.insertion_mean == fg.insertion_curve(model, x, att, cfg).auc
+
+
+def _short_map(model, x, seed):
+    """A custom method whose map misses the last feature."""
+    return AttributionMap(np.ones(x.size - 1), "short")
+
+
+def single_job_rows(model, inputs, methods, cfg, seed):
+    """Each method's (deletion, insertion, difference) means over the inputs its
+    attribution succeeds on, from the single-job functions: the reference."""
+    rows = {}
+    for mi, (name, fn) in enumerate(methods.items()):
+        per_input = []
+        for xi, x in enumerate(inputs):
+            try:
+                att = fn(model, x, evalkit._sample_seed(seed, mi, xi))
+                per_input.append((fg.deletion_curve(model, x, att, cfg).auc,
+                                  fg.insertion_curve(model, x, att, cfg).auc,
+                                  fg.two_round_difference(model, x, att, cfg)))
+            except fg.FluxgradError:
+                pass
+        rows[name] = np.asarray(per_input).mean(axis=0) if per_input else None
+    return rows
+
+
+@pytest.mark.parametrize("cfg", [c for c, _ in ROUND_CONFIGS.values()], ids=ROUND_CONFIGS.keys())
+def test_benchmark_matches_single_job_functions(cfg):
+    model = fg.random_mlp(10, hidden=(7,), out_dim=3, activation="softplus", seed=8,
+                          head=fg.Head("softmax", target=2))
+    inputs = list(np.random.default_rng(8).uniform(0.0, 1.0, (3, 10)))
+    methods = {name: make_method(name) for name in ("saliency", "smoothgrad", "ig", "random")}
+    methods["short"] = _short_map
+    report = fg.benchmark(model, inputs, methods, cfg, seed=4)
+    want = single_job_rows(model, inputs, methods, cfg, seed=4)
+    for row in report.results:
+        if row.method == "short":  # a map of the wrong length fails only its own samples
+            assert (row.samples_ok, row.samples_failed) == (0, 3) and want["short"] is None
+            continue
+        assert (row.samples_ok, row.samples_failed) == (3, 0)
+        assert [row.deletion_mean, row.insertion_mean, row.difference_mean] == want[row.method].tolist()
+
+    # a NaN input fails every method on it, and no other input
+    bad = np.full(10, 0.5)
+    bad[3] = np.nan
+    with_bad = fg.benchmark(model, [*inputs[:2], bad], methods, cfg, seed=4)  # last: same seeds for the rest
+    without = fg.benchmark(model, inputs[:2], methods, cfg, seed=4)
+    for a, b in zip(with_bad.results, without.results):
+        assert a.samples_failed == b.samples_failed + 1 and a.samples_ok == b.samples_ok
+        means = [(r.deletion_mean, r.insertion_mean, r.difference_mean) for r in (a, b)]
+        assert np.array_equal(*means, equal_nan=True)
+
+
+def test_benchmark_counts_a_non_finite_map_as_a_failed_sample():
+    # (x - baseline) overflows, so IG's map is infinite; saliency's is finite.
+    # (On an input near 1e308 itself the mean round overflows and fails every method.)
+    model = fg.linear_model([2.0, 3.0])
+    inputs = [np.array([1.0, 1.0]), np.array([0.5, 2.0])]
+    methods = {"ig": make_method("ig", baseline=np.full(2, -1e308)), "saliency": make_method("saliency")}
+    with pytest.raises(fg.NonFiniteAttribution):
+        methods["ig"](model, inputs[0], 0)
+    ig, sal = fg.benchmark(model, inputs, methods, EvalConfig("black")).results
+    assert (ig.samples_ok, ig.samples_failed) == (0, 2) and np.isnan(ig.deletion_mean)
+    assert (sal.samples_ok, sal.samples_failed) == (2, 0)
+    assert np.all(np.isfinite([sal.deletion_mean, sal.insertion_mean, sal.difference_mean]))
+
+
+def test_blur_benchmark_output_is_pinned():
+    # The sha256 of a small blur benchmark's JSON, recorded before the curves
+    # shared their rounds: any drift in curve output fails here.
+    model = fg.random_mlp(16, hidden=(8,), out_dim=3, activation="softplus", seed=11,
+                          head=fg.Head("softmax", target=1))
+    inputs = list(np.random.default_rng(12).uniform(0.0, 1.0, (2, 16)))
+    methods = {name: make_method(name) for name in ("neflag", "ig", "smoothgrad", "saliency", "random")}
+    report = fg.benchmark(model, inputs, methods, EvalConfig("blur", grid=(4, 4)), seed=13)
+    digest = hashlib.sha256(report.json_str().encode()).hexdigest()
+    assert digest == "f464dd1e8aadfa755562ff7d851a90a16ad70108986bf18cce4bc1fe00e8b671"
 
 
 class TestReplacement:

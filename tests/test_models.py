@@ -233,6 +233,16 @@ class TestNumpyHelpers:
         want = np.logaddexp(0.0, z)
         assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
 
+    def test_softplus_bit_equal_to_two_expression_form_and_leaves_z_alone(self):
+        ends = [0.0, 1e-300, 30.0, 709.0, 745.0, 1e308]
+        z = np.concatenate([ends, np.negative(ends), np.linspace(-50.0, 50.0, 10_001),
+                            np.random.default_rng(2).standard_normal(785 * 128) * 5.0])
+        z.setflags(write=False)  # gradient_batch keeps z for the backward pass
+        want = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        got = models._act("softplus", z)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_gradient_batch_runs_one_forward_pass(self, monkeypatch):
         m = fg.random_mlp(4, hidden=(5, 3), out_dim=3, activation="tanh", seed=2,
                           head=fg.Head("softmax", target=1))
