@@ -13,7 +13,6 @@ from .baselines import (
     smoothgrad,
 )
 from .divergence import (
-    BallSpec,
     DivergenceTheoremReport,
     IntegralEstimate,
     divergence_fd,

@@ -56,8 +56,7 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
         values = gradient(model, x)
     else:
         rng = np.random.default_rng(cfg.seed)
-        with np.errstate(over="ignore"):  # a vast sigma gives inf, which gradient_batch rejects
-            noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
+        noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
         values = gradient_batch(model, x + noise).mean(axis=0)
     return AttributionMap(
         values,
@@ -82,10 +81,9 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     if baseline.size != x.size:
         raise DimensionMismatch("baseline length does not match input")
     alphas = (np.arange(cfg.steps) + 0.5) / cfg.steps
-    with np.errstate(over="ignore", invalid="ignore"):  # a vast x - baseline gives a map AttributionMap rejects
-        path = baseline + alphas[:, None] * (x - baseline)
-        grads = gradient_batch(model, path)
-        values = (x - baseline) * grads.mean(axis=0)
+    path = baseline + alphas[:, None] * (x - baseline)
+    grads = gradient_batch(model, path)
+    values = (x - baseline) * grads.mean(axis=0)
     return AttributionMap(
         values, "ig", {"steps": cfg.steps, "baseline": baseline.tolist()}
     )

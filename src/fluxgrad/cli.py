@@ -106,7 +106,7 @@ def _write_outputs(files):
 
 
 def _method_fn(name, args):
-    """The attribution method ``name`` configured from the command-line options."""
+    """The attribution method ``name`` configured from the options given; the rest keep its defaults."""
     if name == "neflag":
         params = dict(epsilon=args.epsilon, n_samples=args.samples,
                       max_steps=args.steps, step_rule=args.step_rule)
@@ -120,7 +120,7 @@ def _method_fn(name, args):
     else:
         params = {}
     try:
-        return evalkit.make_method(name, **params)
+        return evalkit.make_method(name, **{k: v for k, v in params.items() if v is not None})
     except ValueError as exc:
         raise CliError(f"{name}: {exc}") from exc
 
@@ -235,13 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output path (or prefix)")
 
-    def method_options(p):
-        p.add_argument("--epsilon", type=float, default=0.1, help="sphere radius")
-        p.add_argument("--samples", type=int, default=20, help="negative-flux / noise samples")
-        p.add_argument("--steps", type=int, default=1, help="recurrence or path steps")
-        p.add_argument("--step-rule", choices=("sign", "normalized"), default="sign")
+    def method_options(p):  # an option not given keeps the method's own default
+        p.add_argument("--epsilon", type=float, help="sphere radius; default neflag and taylor 0.1")
+        p.add_argument("--samples", type=int,
+                       help="negative-flux or noise samples; default neflag 20, smoothgrad 50")
+        p.add_argument("--steps", type=int, help="recurrence or path steps; default neflag 1, ig 100")
+        p.add_argument("--step-rule", choices=("sign", "normalized"), help="neflag step rule; default sign")
         p.add_argument("--baseline", help="baseline vector file (ig); default zeros")
-        p.add_argument("--sigma", type=float, default=0.1, help="smoothgrad noise level")
+        p.add_argument("--sigma", type=float, help="smoothgrad noise level; default 0.1")
 
     p = sub.add_parser("attribute", help="compute an attribution map for one input")
     common(p)
@@ -290,9 +291,11 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise CliError(f"seed: must be >= 0, got {args.seed}")
         for name in ("epsilon", "sigma", "lr"):
-            if not np.isfinite(getattr(args, name, 0.0)):
-                raise CliError(f"{name}: must be finite, got {getattr(args, name)}")
-        return args.fn(args)
+            value = getattr(args, name, None)
+            if value is not None and not np.isfinite(value):
+                raise CliError(f"{name}: must be finite, got {value}")
+        with np.errstate(all="ignore"):  # stderr carries one error: line, never a numpy warning
+            return args.fn(args)
     except (CliError, FluxgradError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

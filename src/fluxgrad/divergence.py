@@ -20,10 +20,6 @@ SUBSETS = ("all", "negative", "positive")
 MODES = ("dot", "elementwise")
 
 
-# The solid ball enclosed by an epsilon-sphere has the same centre and radius.
-BallSpec = SphereSpec
-
-
 @dataclass(frozen=True, eq=False)
 class IntegralEstimate:
     """Monte-Carlo estimate with its standard error and sample count.
@@ -84,9 +80,9 @@ def _divergence_fd_batch(model: Model, xs: np.ndarray, h: float) -> np.ndarray:
 
 
 def volume_divergence_integral(
-    model: Model, ball: BallSpec, samples: int, seed: int = 0, h: float = 1e-4
+    model: Model, ball: SphereSpec, samples: int, seed: int = 0, h: float = 1e-4
 ) -> IntegralEstimate:
-    """Monte-Carlo estimate of the divergence integrated over the ball."""
+    """Monte-Carlo estimate of the divergence integrated over the solid ball the sphere ``ball`` encloses."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _require_smooth(model)

@@ -10,7 +10,7 @@ distribution shift both curves share.
 
 import contextlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import KW_ONLY, dataclass, fields, replace
 
 import numpy as np
 
@@ -37,12 +37,12 @@ class EvalConfig:
     ``replacement`` selects the substitute for removed features: zeros
     ("black"), the input's mean value, or an iterated box blur (grid
     inputs only; non-grid inputs silently fall back to mean for the blur
-    round).  ``features_per_step`` controls the curve granularity and
-    ``absolute`` switches the ranking to absolute attribution values.
+    round).  ``absolute`` switches the ranking to absolute attribution
+    values.  A curve has a point after each of 0, 1, ..., N features move.
     """
 
     replacement: str = "black"
-    features_per_step: int = 1
+    _: KW_ONLY
     absolute: bool = False
     grid: tuple[int, int] | None = None
     blur_radius: int = 1
@@ -50,8 +50,6 @@ class EvalConfig:
     def __post_init__(self):
         if self.replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement {self.replacement!r}")
-        if self.features_per_step < 1:
-            raise ValueError("features_per_step must be >= 1")
         if self.blur_radius < 1:
             raise ValueError("blur_radius must be >= 1")
 
@@ -106,20 +104,17 @@ def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
 
 
 def _round(model: Model, x, cfg: EvalConfig):
-    """One replacement round of x: a function from a feature order and the directions wanted,
-    deletion (True) and insertion (False), to their curves.  The replacement, its exact
-    ends and :func:`models.path_change` are built once for every curve of the round."""
+    """One replacement round of x: a function from a feature order to its [deletion, insertion]
+    curves.  The replacement, its exact ends and :func:`models.path_change` serve every order."""
     x = np.asarray(x, dtype=float)
     repl = replacement_input(x, cfg)
     ends = evaluate_batch(model, np.stack([x, repl]))  # exact, so deletion ends where insertion starts
     path = path_change(model, x, repl)
-    counts = np.append(np.arange(0, x.size, cfg.features_per_step), x.size)
-    fractions = counts / x.size
+    fractions = np.arange(x.size + 1) / x.size
 
-    def curves(order, directions=(True, False)) -> list:
-        inner = path_scores(model, path, order, counts[1:-1], directions)
-        scores = [np.concatenate([ends[:1], s, ends[1:]] if delete else [ends[1:], s, ends[:1]])
-                  for delete, s in zip(directions, inner)]
+    def curves(order) -> list:
+        dele, ins = path_scores(model, path, order)
+        scores = [np.concatenate([ends[:1], dele, ends[1:]]), np.concatenate([ends[1:], ins, ends[:1]])]
         return [EvalCurve(fractions, s, float(np.trapezoid(s, fractions))) for s in scores]
 
     return curves
@@ -134,12 +129,12 @@ def _ranking(model: Model, attribution: AttributionMap, cfg: EvalConfig) -> np.n
 
 def deletion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as top-attributed features are replaced, best first."""
-    return _round(model, x, cfg)(_ranking(model, attribution, cfg), (True,))[0]
+    return _round(model, x, cfg)(_ranking(model, attribution, cfg))[0]
 
 
 def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as original features are restored into the replaced input."""
-    return _round(model, x, cfg)(_ranking(model, attribution, cfg), (False,))[0]
+    return _round(model, x, cfg)(_ranking(model, attribution, cfg))[1]
 
 
 def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:

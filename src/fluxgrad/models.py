@@ -343,23 +343,21 @@ def path_change(model: Model, start, target):
     return _first_stage(model, start), _first_stage(model, target), change
 
 
-def path_scores(model: Model, path, order, counts, directions=(True, False)) -> list:
-    """Output after the head along the path that moves start to target (True), or back (False).
+def path_scores(model: Model, path, order) -> list:
+    """Output after the head along the path that moves start to target, and along the reverse.
 
     ``path`` is :func:`path_change` of (start, target).  Point k is ``start``
     with the features ``order[:k]`` taken from ``target``, or the reverse, and
-    each direction gives the output at each k in ``counts``.  Both share one
+    each direction gives the output at k = 1 ... N - 1.  Both share one
     running sum, in ``order``, of the change: the first stage is s(start) plus
     it, or s(target) minus it, which is exactly s(target) plus the running sum
     of the negated change.  O(N m) work in place of an (N + 1, N) row matrix,
-    so point k matches ``evaluate_batch`` of its row within rounding; the sum
-    is not exact at k = N, so evaluate the ends where they must be exact."""
+    so point k matches ``evaluate_batch`` of its row within rounding; the ends
+    k = 0 and N are left out, to be evaluated exactly."""
     s_start, s_target, change = path
-    moved = np.zeros((change.shape[0] + 1, change.shape[1]))
-    np.cumsum(change[order], axis=0, out=moved[1:])
-    moved = moved[counts]  # free the full sum before the rest of the model allocates its own arrays
+    moved = np.cumsum(change[order[:-1]], axis=0)
     return [_headed(model, _rest(model, s_start + moved if forward else s_target - moved)[0])
-            for forward in directions]
+            for forward in (True, False)]
 
 
 def _headed(model: Model, raw):

@@ -261,6 +261,36 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     assert list(out.iterdir()) == []
 
 
+def test_extreme_inputs_print_no_numpy_warning(fixtures, tmp_path):
+    # a subprocess, because pytest's warning capture would hide warnings from in-process stderr
+    huge_csv = tmp_path / "huge.csv"
+    fg.save_dataset_csv(huge_csv, np.full((2, 2), 1e308), [0, 1])
+    model = ["--model", str(fixtures / "linear.json")]
+    runs = [
+        (["eval", *model, "--input", str(huge_csv), "--methods", "saliency"], 5),
+        (["attribute", *model, "--input", str(fixtures / "huge2.txt"), "--method", "saliency"], 0),
+        (["attribute", *model, "--input", str(fixtures / "huge2.txt"), "--method", "ig"], 2),
+    ]
+    for i, (argv, code) in enumerate(runs):
+        res = run_cli(*argv, "--out", str(tmp_path / f"o{i}"))
+        assert res.returncode == code, res.stderr
+        assert "Warning" not in res.stderr and len(res.stderr.splitlines()) <= 1, res.stderr
+
+
+@pytest.mark.parametrize("subcommand", ["attribute", "eval"])
+def test_method_options_not_given_keep_the_library_defaults(subcommand):
+    # a dim-4 tanh MLP with a sigmoid head, where IG's step count and SmoothGrad's sample count show
+    model = fg.random_mlp(4, hidden=(5,), activation="tanh", seed=2, head=fg.Head("sigmoid"))
+    x = np.array([0.3, -1.2, 0.8, 2.0])
+    argv = [subcommand, "--model", "m.json", "--input", "x.txt", "--out", "o"]
+    for name in fg.evalkit.METHODS:
+        extra = ["--method", name] if subcommand == "attribute" else []
+        args = cli.build_parser().parse_args(argv + extra)
+        got = cli._method_fn(name, args)(model, x, 7)
+        want = fg.make_method(name)(model, x, 7)
+        assert np.array_equal(got.values, want.values) and got.params == want.params, name
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, fluxgrad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 import fluxgrad as fg
-from fluxgrad.divergence import BallSpec
 from fluxgrad.neflag import SphereSpec
 
 
@@ -30,19 +29,19 @@ class TestDivergenceFd:
 class TestVolumeIntegral:
     def test_constant_divergence_times_disk_area(self):
         m = fg.quadratic_model([1.0, 2.0])
-        est = fg.volume_divergence_integral(m, BallSpec(np.zeros(2), 1.0), 20000, seed=0)
+        est = fg.volume_divergence_integral(m, SphereSpec(np.zeros(2), 1.0), 20000, seed=0)
         assert est.value == pytest.approx(3.0 * np.pi, rel=1e-6)
 
     def test_linear_field_integrates_to_zero(self):
         m = fg.linear_model([1.0, 2.0])
-        est = fg.volume_divergence_integral(m, BallSpec(np.zeros(2), 1.0), 5000, seed=1)
+        est = fg.volume_divergence_integral(m, SphereSpec(np.zeros(2), 1.0), 5000, seed=1)
         assert abs(est.value) < 1e-8
 
     def test_gauss_bump_matches_surface_flux(self):
         m = fg.gauss_bump(2)
-        ball = BallSpec(np.zeros(2), 0.5)
-        lhs = fg.volume_divergence_integral(m, ball, 50000, seed=2)
-        rhs = fg.surface_flux_integral(m, SphereSpec(np.zeros(2), 0.5), 50000, seed=3)
+        sphere = SphereSpec(np.zeros(2), 0.5)
+        lhs = fg.volume_divergence_integral(m, sphere, 50000, seed=2)
+        rhs = fg.surface_flux_integral(m, sphere, 50000, seed=3)
         combined = np.hypot(lhs.standard_error, rhs.standard_error)
         assert abs(lhs.value - rhs.value) < 3.0 * combined
 
@@ -163,7 +162,3 @@ class TestTheoremReport:
         report = fg.divergence_theorem_report(m, SphereSpec(np.zeros(1), 1.0), 100, seed=0)
         doc = report.to_json()
         assert set(doc) == {"lhs", "rhs", "diff", "stderr", "pass", "samples"}
-
-
-def test_ball_spec_is_the_sphere_spec():
-    assert BallSpec is SphereSpec

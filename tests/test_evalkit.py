@@ -83,14 +83,13 @@ class TestCurves:
             assert auc <= best + 1e-12
 
 
-def curve_rows(start, target, order, step):
+def curve_rows(start, target, order):
     """Fractions and rows of a curve, the rows built one by one: the reference."""
     n = start.size
-    counts = sorted(set(range(0, n, step)) | {n})
-    rows = np.tile(start, (len(counts), 1))
-    for i, k in enumerate(counts):
-        rows[i, order[:k]] = target[order[:k]]
-    return np.asarray(counts, dtype=float) / n, rows
+    rows = np.tile(start, (n + 1, 1))
+    for k in range(n + 1):
+        rows[k, order[:k]] = target[order[:k]]
+    return np.arange(n + 1) / n, rows
 
 
 def _gauss(head):
@@ -114,25 +113,52 @@ ORACLE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("absolute", [False, True])
-@pytest.mark.parametrize("step", [1, 3])
+# the "1" in each id is one feature per point, the only curve granularity
+@pytest.mark.parametrize("absolute", [False, True], ids=["1-False", "1-True"])
 @pytest.mark.parametrize("name", ORACLE_MODELS)
-def test_curves_match_row_by_row_oracle(name, step, absolute):
-    # n = 10 is not a multiple of 3, so the last step moves a single feature.
+def test_curves_match_row_by_row_oracle(name, absolute):
     model = ORACLE_MODELS[name]()
     rng = np.random.default_rng(7)
     x = rng.standard_normal(10)
     att = AttributionMap(rng.standard_normal(10), "r")
     order = feature_order(att, absolute)
-    for cfg in (EvalConfig("black", step, absolute), EvalConfig("mean", step, absolute),
-                EvalConfig("blur", step, absolute, grid=(2, 5))):
+    for cfg in (EvalConfig("black", absolute=absolute), EvalConfig("mean", absolute=absolute),
+                EvalConfig("blur", absolute=absolute, grid=(2, 5))):
         repl = replacement_input(x, cfg)
         for curve, start, target in ((fg.deletion_curve, x, repl), (fg.insertion_curve, repl, x)):
-            fractions, rows = curve_rows(start, target, order, step)
+            fractions, rows = curve_rows(start, target, order)
             got = curve(model, x, att, cfg)
             assert np.array_equal(got.fractions, fractions)
             np.testing.assert_allclose(got.scores, fg.evaluate_batch(model, rows), rtol=1e-12, atol=0)
             assert got.auc == pytest.approx(np.trapezoid(got.scores, fractions), rel=1e-15)
+
+
+ONE_FEATURE_MODELS = {
+    "linear": lambda: fg.linear_model([2.0], b=0.5),
+    "mlp-softmax": lambda: fg.random_mlp(1, hidden=(3,), out_dim=2, activation="softplus", seed=6,
+                                         head=fg.Head("softmax", target=1)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_FEATURE_MODELS)
+def test_one_feature_curves_are_their_exact_ends(name):
+    # N = 1: no point lies between the ends, so the running sum is empty
+    model = ONE_FEATURE_MODELS[name]()
+    x = np.array([0.8])
+    att = AttributionMap([1.0], "x")
+    for repl in ("black", "mean"):
+        cfg = EvalConfig(repl)
+        ends = fg.evaluate_batch(model, np.stack([x, replacement_input(x, cfg)]))
+        dele, ins = fg.deletion_curve(model, x, att, cfg), fg.insertion_curve(model, x, att, cfg)
+        for curve, scores in ((dele, ends), (ins, ends[::-1])):
+            assert np.array_equal(curve.fractions, [0.0, 1.0]) and np.array_equal(curve.scores, scores)
+    assert fg.two_round_difference(model, x, att) == 0.0
+
+
+def test_eval_config_fields_after_replacement_are_keyword_only():
+    with pytest.raises(TypeError):
+        EvalConfig("black", True)
+    assert EvalConfig("mean", absolute=True).absolute
 
 
 @pytest.mark.parametrize("repl", ["black", "mean"])

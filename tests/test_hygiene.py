@@ -1,9 +1,10 @@
 """Static checks over the package source, with the standard library only.
 
-Every import of a module in ``src/fluxgrad`` is used, and every private
-module-level function or class is referenced somewhere in ``src/``.
-``__init__.py`` re-exports names it does not use, so it is only searched
-for references.
+Every import of a module in ``src/fluxgrad`` is used, every private
+module-level function or class is referenced somewhere in ``src/``, and no
+module-level assignment gives a second name to something that already has
+one.  ``__init__.py`` re-exports names it does not use, so it is only
+searched for references.
 """
 
 import ast
@@ -54,3 +55,13 @@ def test_no_unreferenced_private_definition(module):
     ]
     referenced = {name for tree in TREES.values() for name in referenced_names(tree)}
     assert sorted(set(private) - referenced) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_level_alias(module):
+    aliases = [
+        ast.unparse(node)
+        for node in TREES[module].body
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.Attribute))
+    ]
+    assert aliases == []
