@@ -236,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output path (or prefix)")
 
     def method_options(p):  # an option not given keeps the method's own default
-        p.add_argument("--epsilon", type=float, help="sphere radius; default neflag and taylor 0.1")
+        every = "; eval sets it for every selected method that takes it"
+        p.add_argument("--epsilon", type=float, help="sphere radius; default neflag and taylor 0.1" + every)
         p.add_argument("--samples", type=int,
-                       help="negative-flux or noise samples; default neflag 20, smoothgrad 50")
-        p.add_argument("--steps", type=int, help="recurrence or path steps; default neflag 1, ig 100")
+                       help="negative-flux or noise samples; default neflag 20, smoothgrad 50" + every)
+        p.add_argument("--steps", type=int, help="recurrence or path steps; default neflag 1, ig 100" + every)
         p.add_argument("--step-rule", choices=("sign", "normalized"), help="neflag step rule; default sign")
         p.add_argument("--baseline", help="baseline vector file (ig); default zeros")
         p.add_argument("--sigma", type=float, help="smoothgrad noise level; default 0.1")

@@ -52,22 +52,21 @@ def _require_smooth(model: Model):
         raise NotSmooth("field not continuously differentiable (relu activation)")
 
 
-def divergence_fd(model: Model, x, h: float = 1e-4) -> float:
+def divergence_fd(model: Model, x) -> float:
     """div F at x: central differences of the exact gradient field.
 
-    Only the second derivative is finite-differenced; the field values
-    themselves use analytic gradients, so a single FD level controls the
-    error.
+    Only the second derivative is finite-differenced, with step 1e-4; the
+    field values themselves use analytic gradients, so a single FD level
+    controls the error.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
     _require_smooth(model)
     x = np.asarray(x, dtype=float)
-    return _divergence_fd_batch(model, x[None, :], h)[0]
+    return _divergence_fd_batch(model, x[None, :])[0]
 
 
-def _divergence_fd_batch(model: Model, xs: np.ndarray, h: float) -> np.ndarray:
+def _divergence_fd_batch(model: Model, xs: np.ndarray) -> np.ndarray:
     """Vectorized divergence at every row of xs."""
+    h = 1e-4
     n, dim = xs.shape
     total = np.zeros(n)
     for i in range(dim):
@@ -80,7 +79,7 @@ def _divergence_fd_batch(model: Model, xs: np.ndarray, h: float) -> np.ndarray:
 
 
 def volume_divergence_integral(
-    model: Model, ball: SphereSpec, samples: int, seed: int = 0, h: float = 1e-4
+    model: Model, ball: SphereSpec, samples: int, seed: int = 0
 ) -> IntegralEstimate:
     """Monte-Carlo estimate of the divergence integrated over the solid ball the sphere ``ball`` encloses."""
     if samples < 1:
@@ -88,7 +87,7 @@ def volume_divergence_integral(
     _require_smooth(model)
     rng = np.random.default_rng(seed)
     pts = ball_points(rng, samples, ball.center, ball.radius)
-    return _estimate(_divergence_fd_batch(model, pts, h), ball_volume(ball.dim, ball.radius))
+    return _estimate(_divergence_fd_batch(model, pts), ball_volume(ball.dim, ball.radius))
 
 
 def surface_flux_integral(
@@ -157,7 +156,6 @@ def divergence_theorem_report(
     sphere: SphereSpec,
     samples: int = 100_000,
     seed: int = 0,
-    h: float = 1e-4,
 ) -> DivergenceTheoremReport:
     """Cross-check the volume divergence integral against the surface flux.
 
@@ -167,7 +165,7 @@ def divergence_theorem_report(
     ss = np.random.SeedSequence(seed)
     kids = ss.spawn(2)
     lhs = volume_divergence_integral(
-        model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31), h
+        model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31)
     )
     rhs = surface_flux_integral(
         model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31)

@@ -37,21 +37,16 @@ class EvalConfig:
     ``replacement`` selects the substitute for removed features: zeros
     ("black"), the input's mean value, or an iterated box blur (grid
     inputs only; non-grid inputs silently fall back to mean for the blur
-    round).  ``absolute`` switches the ranking to absolute attribution
-    values.  A curve has a point after each of 0, 1, ..., N features move.
+    round).  A curve has a point after each of 0, 1, ..., N features move.
     """
 
     replacement: str = "black"
     _: KW_ONLY
-    absolute: bool = False
     grid: tuple[int, int] | None = None
-    blur_radius: int = 1
 
     def __post_init__(self):
         if self.replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement {self.replacement!r}")
-        if self.blur_radius < 1:
-            raise ValueError("blur_radius must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,19 +66,17 @@ class EvalCurve:
             raise ValueError("fractions must be strictly increasing")
 
 
-def feature_order(attribution: AttributionMap, absolute: bool = False) -> np.ndarray:
-    """Feature indices in descending attribution order, ties by index."""
-    vals = np.abs(attribution.values) if absolute else attribution.values
-    return np.argsort(-vals, kind="stable")
+def feature_order(attribution: AttributionMap) -> np.ndarray:
+    """Feature indices in descending signed attribution order, ties by index."""
+    return np.argsort(-attribution.values, kind="stable")
 
 
-def _box_blur(img, radius):
-    """Mean over each (2r+1) x (2r+1) window, edges extended by their nearest value."""
-    size = 2 * radius + 1
+def _box_blur(img):
+    """Mean over each 3 x 3 window, edges extended by their nearest value."""
     for _ in range(2):  # down the columns, then along the rows, via the transpose
-        p = np.pad(img.T, ((0, 0), (radius, radius)), mode="edge")
-        steps = np.concatenate([p[:, :size], p[:, size:] - p[:, :-size]], axis=1)
-        img = np.cumsum(steps, axis=1)[:, size - 1 :] / size
+        p = np.pad(img.T, ((0, 0), (1, 1)), mode="edge")
+        steps = np.concatenate([p[:, :3], p[:, 3:] - p[:, :-3]], axis=1)
+        img = np.cumsum(steps, axis=1)[:, 2:] / 3
     return img
 
 
@@ -98,7 +91,7 @@ def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
             raise DimensionMismatch(f"grid {h}x{w} does not match {x.size} features")
         img = x.reshape(h, w)
         for _ in range(3):
-            img = _box_blur(img, cfg.blur_radius)
+            img = _box_blur(img)
         return img.ravel()
     return np.full_like(x, x.mean())
 
@@ -120,26 +113,26 @@ def _round(model: Model, x, cfg: EvalConfig):
     return curves
 
 
-def _ranking(model: Model, attribution: AttributionMap, cfg: EvalConfig) -> np.ndarray:
+def _ranking(model: Model, attribution: AttributionMap) -> np.ndarray:
     """The order in which the curves move features, for a map of the model's length."""
     if len(attribution) != model.dim:
         raise DimensionMismatch("input, attribution, and model dimensions must agree")
-    return feature_order(attribution, cfg.absolute)
+    return feature_order(attribution)
 
 
 def deletion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as top-attributed features are replaced, best first."""
-    return _round(model, x, cfg)(_ranking(model, attribution, cfg))[0]
+    return _round(model, x, cfg)(_ranking(model, attribution))[0]
 
 
 def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as original features are restored into the replaced input."""
-    return _round(model, x, cfg)(_ranking(model, attribution, cfg))[1]
+    return _round(model, x, cfg)(_ranking(model, attribution))[1]
 
 
 def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Insertion AUC minus deletion AUC under the same replacement mode."""
-    dele, ins = _round(model, x, cfg)(_ranking(model, attribution, cfg))
+    dele, ins = _round(model, x, cfg)(_ranking(model, attribution))
     return ins.auc - dele.auc
 
 
@@ -155,7 +148,7 @@ def _mean_difference(aucs: dict, cfg: EvalConfig) -> float:
 
 def two_round_difference(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Mean difference score over the black round and the blur/mean round."""
-    order = _ranking(model, attribution, cfg)
+    order = _ranking(model, attribution)
     aucs = {m: [c.auc for c in _round(model, x, replace(cfg, replacement=m))(order)] for m in _two_rounds(cfg)}
     return _mean_difference(aucs, cfg)
 
@@ -278,7 +271,7 @@ def benchmark(
         orders = {}
         for mi, (name, fn) in enumerate(methods.items()):
             with contextlib.suppress(FluxgradError):
-                orders[name] = _ranking(model, fn(model, x, _sample_seed(seed, mi, xi)), cfg)
+                orders[name] = _ranking(model, fn(model, x, _sample_seed(seed, mi, xi)))
         aucs = {name: {} for name in orders}
         try:
             for mode in dict.fromkeys((own, *_two_rounds(cfg))):

@@ -91,6 +91,8 @@ class Head:
             raise ValueError(f"unknown head type {self.type!r}")
         if self.type == "softmax" and self.target is None:
             raise ValueError("softmax head requires a target index")
+        if self.type != "softmax" and (self.target is not None or self.use_logit):
+            raise ValueError(f"{self.type} head takes no target or logit setting")
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +437,10 @@ def quadratic_model(lam, c=None, head=Head()) -> Model:
 
 def gauss_bump(dim: int, center=None, sigma=1.0, weight=1.0, head=Head()) -> Model:
     """Single Gaussian bump w * exp(-|x - mu|^2 / (2 sigma^2))."""
-    if center is None:
-        center = np.zeros(dim)
-    params = GaussMixtureParams([weight], np.asarray(center)[None, :], [sigma])
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    if center.shape != (dim,):
+        raise ValueError(f"center must have shape ({dim},), got {center.shape}")
+    params = GaussMixtureParams([weight], center[None, :], [sigma])
     return Model("gauss-mixture", dim, params, head)
 
 

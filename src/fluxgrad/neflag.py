@@ -7,9 +7,9 @@ over those points.  Candidate points are refined by a fixed-point
 recurrence that steps from the sphere center against the gradient
 direction, in one of two flavors:
 
-* ``sign``        -- x~ = x - eps * sign(F / |F|), a componentwise step that
-  lands on a hypercube corner at L2 distance eps * sqrt(N); extra
-  stochasticity spreads the accepted points more evenly.
+* ``sign``        -- x~ = x - eps * sign(F(u)), a componentwise step from the
+  previous point u that lands on a hypercube corner at L2 distance
+  eps * sqrt(N).
 * ``normalized``  -- x~ = x - eps * F / |F|, which stays exactly on the
   sphere and is a fixed-point iteration for on-sphere minimizers of f.
 * ``none``        -- pure rejection sampling: keep the uniform sphere draw
@@ -92,7 +92,6 @@ class NeflagConfig:
     max_steps: int = 1
     step_rule: str = "sign"
     seed: int = 0
-    reject_nonnegative: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -111,7 +110,6 @@ class NeflagConfig:
             "m": self.max_steps,
             "step_rule": self.step_rule,
             "seed": self.seed,
-            "reject_nonnegative": self.reject_nonnegative,
         }
 
 
@@ -190,11 +188,10 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
     the pending samples; row i of every block is sample i's.  Each round
     draws a start, makes one ``gradient_batch`` call per recurrence step
     and one at the final points, and accepts the rows whose flux is
-    negative (every row when ``reject_nonnegative`` is off).  Each sample
-    has 10 * n_samples rounds.  A sample whose gradient vanishes, whose
-    point lands on the center or whose rounds run out fails alone; the
-    search then raises the error of the lowest-index failed sample, the one
-    a sample-by-sample loop would meet first.
+    negative.  Each sample has 10 * n_samples rounds.  A sample whose
+    gradient vanishes, whose point lands on the center or whose rounds run
+    out fails alone; the search then raises the error of the lowest-index
+    failed sample, the one a sample-by-sample loop would meet first.
     """
     budget = 10 * config.n_samples
     steps = 0 if config.step_rule == "none" else config.max_steps
@@ -222,7 +219,7 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         x_t, normals = x_t[go_on], off[go_on] / dist[go_on, None]
         g = gradient_batch(model, x_t)
         flux = np.einsum("ij,ij->i", g, normals)
-        accept = flux < 0.0 if config.reject_nonnegative else np.ones(flux.size, dtype=bool)
+        accept = flux < 0.0
         points[pending[accept]], grads[pending[accept]] = x_t[accept], g[accept]
         pending = pending[~accept]
         if not pending.size:
@@ -242,11 +239,10 @@ def find_negative_flux_point(
     """Sample the sphere and refine toward a negative-flux point.
 
     One uniform sample followed by ``max_steps`` recurrence updates (or no
-    updates under the ``none`` rule).  When ``reject_nonnegative`` is set,
-    candidates whose exact flux is >= 0 are rejected and the search
-    restarts from a fresh sample, up to 10 * n_samples attempts; exhaustion
-    raises :class:`NoNegativeFlux`.  This is the one-sample case of the
-    search :func:`neflag_attribute` runs.
+    updates under the ``none`` rule).  A candidate whose exact flux is >= 0
+    is rejected and the search restarts from a fresh sample, up to
+    10 * n_samples attempts; exhaustion raises :class:`NoNegativeFlux`.
+    This is the one-sample case of the search :func:`neflag_attribute` runs.
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
     points, grads = _search(model, sphere, config, rng, 1)

@@ -223,6 +223,7 @@ MISUSE = {
     "eval-blur-grid": ["eval", "--replacement", "blur", "--grid", "3x3"],
     "eval-limit-neg": ["eval", "--limit", "-1"],
     "model-dim-contradicts-params": ["attribute", "--method", "saliency", "--model", "{baddim}"],
+    "model-head-ignored-setting": ["attribute", "--method", "saliency", "--model", "{badhead}"],
     "attribute-out-dir-missing": ["attribute", "--method", "saliency", "--out", "{missing}"],
     "verify-out-dir-missing": ["verify", "--out", "{missing}"],
     "eval-out-dir-missing": ["eval", "--methods", "saliency", "--out", "{missing}"],
@@ -240,10 +241,12 @@ MISUSE = {
 def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     doc = fg.model_to_json(fg.linear_model([3.0, 4.0]))
     (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
+    badhead = {"type": "identity", "logit": True, "target": 9}
+    (tmp_path / "badhead.json").write_text(json.dumps({**doc, "head": badhead}))
     out = tmp_path / "out"
     out.mkdir()
-    argv = [a.format(baddim=tmp_path / "baddim.json", missing=out / "missing" / "o",
-                     huge=fixtures / "huge2.txt") for a in argv]
+    argv = [a.format(baddim=tmp_path / "baddim.json", badhead=tmp_path / "badhead.json",
+                     missing=out / "missing" / "o", huge=fixtures / "huge2.txt") for a in argv]
     model = ["--model", str(fixtures / "linear.json")]
     defaults = {
         "attribute": [*model, "--input", str(fixtures / "origin2.txt")],
@@ -289,6 +292,19 @@ def test_method_options_not_given_keep_the_library_defaults(subcommand):
         got = cli._method_fn(name, args)(model, x, 7)
         want = fg.make_method(name)(model, x, 7)
         assert np.array_equal(got.values, want.values) and got.params == want.params, name
+
+
+def test_eval_method_options_set_every_selected_method_that_takes_them():
+    model = fg.random_mlp(4, hidden=(5,), activation="tanh", seed=2, head=fg.Head("sigmoid"))
+    x = np.array([0.3, -1.2, 0.8, 2.0])
+    args = cli.build_parser().parse_args(["eval", "--model", "m.json", "--input", "x.csv", "--out", "o",
+                                          "--steps", "3", "--samples", "4", "--epsilon", "0.2"])
+    neflag = cli._method_fn("neflag", args)(model, x, 7).params
+    assert (neflag["m"], neflag["n"], neflag["epsilon"]) == (3, 4, 0.2)
+    assert cli._method_fn("ig", args)(model, x, 7).params["steps"] == 3
+    assert cli._method_fn("smoothgrad", args)(model, x, 7).params["samples"] == 4
+    point = cli._method_fn("taylor", args)(model, x, 7).params["expansion_point"]
+    assert np.linalg.norm(np.asarray(point) - x) == pytest.approx(0.2)
 
 
 def test_cli_import_loads_no_scipy():

@@ -113,17 +113,15 @@ ORACLE_MODELS = {
 }
 
 
-# the "1" in each id is one feature per point, the only curve granularity
-@pytest.mark.parametrize("absolute", [False, True], ids=["1-False", "1-True"])
-@pytest.mark.parametrize("name", ORACLE_MODELS)
-def test_curves_match_row_by_row_oracle(name, absolute):
+# "1-False" in each id: one feature per point and the signed ranking, the only curves there are
+@pytest.mark.parametrize("name", ORACLE_MODELS, ids=[f"{name}-1-False" for name in ORACLE_MODELS])
+def test_curves_match_row_by_row_oracle(name):
     model = ORACLE_MODELS[name]()
     rng = np.random.default_rng(7)
     x = rng.standard_normal(10)
     att = AttributionMap(rng.standard_normal(10), "r")
-    order = feature_order(att, absolute)
-    for cfg in (EvalConfig("black", absolute=absolute), EvalConfig("mean", absolute=absolute),
-                EvalConfig("blur", absolute=absolute, grid=(2, 5))):
+    order = feature_order(att)
+    for cfg in (EvalConfig("black"), EvalConfig("mean"), EvalConfig("blur", grid=(2, 5))):
         repl = replacement_input(x, cfg)
         for curve, start, target in ((fg.deletion_curve, x, repl), (fg.insertion_curve, repl, x)):
             fractions, rows = curve_rows(start, target, order)
@@ -157,8 +155,8 @@ def test_one_feature_curves_are_their_exact_ends(name):
 
 def test_eval_config_fields_after_replacement_are_keyword_only():
     with pytest.raises(TypeError):
-        EvalConfig("black", True)
-    assert EvalConfig("mean", absolute=True).absolute
+        EvalConfig("black", (2, 5))
+    assert EvalConfig("blur", grid=(2, 5)).grid == (2, 5)
 
 
 @pytest.mark.parametrize("repl", ["black", "mean"])
@@ -445,13 +443,13 @@ class TestAttributionFiles:
             att.pgm_str((2, 2))
 
 
-@pytest.mark.parametrize("grid", [(28, 28), (1, 5), (5, 1), (3, 7)])
-@pytest.mark.parametrize("radius", [1, 2, 3])
-def test_blur_matches_scipy_uniform_filter(grid, radius):
+# "1" in each id: the window radius, 1, the only one the blur has
+@pytest.mark.parametrize("grid", [(28, 28), (1, 5), (5, 1), (3, 7)], ids=[f"1-grid{i}" for i in range(4)])
+def test_blur_matches_scipy_uniform_filter(grid):
     ndimage = pytest.importorskip("scipy.ndimage")
-    x = np.random.default_rng(radius).uniform(0.0, 1.0, grid[0] * grid[1])
+    x = np.random.default_rng(1).uniform(0.0, 1.0, grid[0] * grid[1])
     want = x.reshape(grid)
     for _ in range(3):
-        want = ndimage.uniform_filter(want, size=2 * radius + 1, mode="nearest")
-    got = replacement_input(x, EvalConfig("blur", grid=grid, blur_radius=radius))
+        want = ndimage.uniform_filter(want, size=3, mode="nearest")
+    got = replacement_input(x, EvalConfig("blur", grid=grid))
     assert np.max(np.abs(got - want.ravel())) <= 1e-12

@@ -1,10 +1,11 @@
 """Static checks over the package source, with the standard library only.
 
 Every import of a module in ``src/fluxgrad`` is used, every private
-module-level function or class is referenced somewhere in ``src/``, and no
+module-level function or class is referenced somewhere in ``src/``, no
 module-level assignment gives a second name to something that already has
-one.  ``__init__.py`` re-exports names it does not use, so it is only
-searched for references.
+one, and every field of a method or evaluation config is set as a keyword
+by some call in ``cli.py`` or ``evalkit.py``.  ``__init__.py`` re-exports
+names it does not use, so it is only searched for references.
 """
 
 import ast
@@ -65,3 +66,27 @@ def test_no_module_level_alias(module):
         if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Name, ast.Attribute))
     ]
     assert aliases == []
+
+
+CONFIGS = ("NeflagConfig", "IgConfig", "SmoothGradConfig", "EvalConfig")
+
+
+def test_every_config_field_is_set_outside_the_tests():
+    # a field only the tests set is a setting no caller needs
+    fields = {
+        f"{node.name}.{stmt.target.id}"
+        for tree in TREES.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in CONFIGS
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id != "_"  # ``_: KW_ONLY``
+    }
+    assert len({f.split(".")[0] for f in fields}) == len(CONFIGS)
+    set_by_callers = {
+        kw.arg
+        for module in ("cli.py", "evalkit.py")
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+    }
+    assert sorted(f for f in fields if f.split(".")[1] not in set_by_callers) == []

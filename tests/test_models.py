@@ -261,6 +261,23 @@ def test_model_from_json_rejects_contradictory_dim():
         fg.model_from_json({**doc, "dim": 5})
 
 
+def test_gauss_bump_center_must_have_length_dim():
+    assert fg.gauss_bump(2, center=[1.0, -1.0]).dim == 2
+    for center in ([0.0, 0.0], [[0.0, 0.0, 0.0]], 0.0):
+        with pytest.raises(ValueError, match="center"):
+            fg.gauss_bump(3, center=center)
+
+
+def test_head_rejects_settings_it_ignores():
+    for kw in ({"target": 4}, {"use_logit": True}, {"target": 0, "use_logit": True}):
+        for kind in ("identity", "sigmoid"):
+            with pytest.raises(ValueError, match="takes no target"):
+                fg.Head(kind, **kw)
+    doc = fg.model_to_json(fg.linear_model([1.0, 2.0]))
+    with pytest.raises(ValueError, match="takes no target"):
+        fg.model_from_json({**doc, "head": {"type": "identity", "logit": True, "target": 9}})
+
+
 def test_training_accuracy_of_a_linear_model():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0], [0.5, -3.0]])
     y = np.array([1, 0, 1, 1])

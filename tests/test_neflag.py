@@ -143,8 +143,7 @@ class TestFindNegativeFluxPoint:
         # At a minimum the gradient field points outward everywhere.
         m = fg.quadratic_model([1.0, 1.0])
         sphere = SphereSpec(np.zeros(2), 0.1)
-        cfg = NeflagConfig(epsilon=0.1, n_samples=2, step_rule="none",
-                           reject_nonnegative=True)
+        cfg = NeflagConfig(epsilon=0.1, n_samples=2, step_rule="none")
         with pytest.raises(fg.NoNegativeFlux):
             fg.find_negative_flux_point(m, sphere, cfg, seed=0)
 
@@ -154,12 +153,12 @@ class TestFindNegativeFluxPoint:
         scores = [fg.evaluate(fit.model, x) for x in X]
         x0 = X[int(np.argmax(scores))]
         sphere = SphereSpec(x0, 0.1)
-        cfg = NeflagConfig(epsilon=0.1, n_samples=1, max_steps=20,
-                           step_rule="normalized", reject_nonnegative=False)
-        negative = sum(
-            fg.find_negative_flux_point(fit.model, sphere, cfg, seed=s).flux < 0
-            for s in range(100)
-        )
+        negative = 0
+        for s in range(100):
+            x_t = fg.sample_sphere(sphere, s)
+            for _ in range(20):
+                x_t = fg.recurrence_step(fit.model, sphere, x_t, "normalized")
+            negative += fg.flux_at(fit.model, sphere, x_t).flux < 0
         assert negative >= 95
 
 
@@ -190,8 +189,7 @@ class TestNeflagAttribute:
         )
         oracle = np.abs(np.asarray(est.value))
         oracle = oracle / oracle.sum()
-        cfg = NeflagConfig(epsilon=0.1, n_samples=200, max_steps=1,
-                           step_rule="normalized", reject_nonnegative=False)
+        cfg = NeflagConfig(epsilon=0.1, n_samples=200, max_steps=1, step_rule="normalized")
         att = fg.neflag_attribute(m, np.zeros(3), cfg)
         mine = np.abs(att.values) / np.abs(att.values).sum()
         assert np.all(np.abs(mine - oracle) / oracle < 0.05)
@@ -200,8 +198,7 @@ class TestNeflagAttribute:
         model = fg.random_mlp(3, hidden=(6,), activation="softplus", seed=8)
         x = np.array([0.4, -0.2, 0.1])
         sphere = SphereSpec(x, 0.1)
-        cfg = NeflagConfig(epsilon=0.1, n_samples=5, step_rule="none",
-                           reject_nonnegative=True, seed=5)
+        cfg = NeflagConfig(epsilon=0.1, n_samples=5, step_rule="none", seed=5)
         for s in range(20):
             p = fg.find_negative_flux_point(model, sphere, cfg, seed=s)
             assert p.flux < 0
@@ -228,8 +225,7 @@ class TestNeflagAttribute:
     def test_params_name_every_config_field(self):
         cfg = NeflagConfig(epsilon=0.2, n_samples=3, max_steps=2, step_rule="normalized", seed=5)
         att = fg.neflag_attribute(fg.linear_model([1.0, -2.0]), np.zeros(2), cfg)
-        assert att.params == {"epsilon": 0.2, "n": 3, "m": 2, "step_rule": "normalized",
-                              "seed": 5, "reject_nonnegative": True}
+        assert att.params == {"epsilon": 0.2, "n": 3, "m": 2, "step_rule": "normalized", "seed": 5}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -277,7 +273,7 @@ def sequential_sample(model, sphere, cfg, starts):
         if dist == 0.0:
             raise fg.OffSphere("candidate point coincides with the sphere center")
         grad = fg.gradient(model, x_t)
-        if not cfg.reject_nonnegative or grad @ (off / dist) < 0:
+        if grad @ (off / dist) < 0:
             return x_t, grad
     raise fg.NoNegativeFlux("no negative flux")
 
@@ -312,7 +308,6 @@ class TestLockstepSearch:
         "sign": {},
         "normalized-m5": {"step_rule": "normalized", "max_steps": 5},
         "none": {"step_rule": "none"},
-        "keep-nonnegative": {"step_rule": "none", "reject_nonnegative": False},
     }
 
     @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
