@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteAttribution
+from .models import _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,12 +24,11 @@ class AttributionMap:
     samples_used: int | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        values = _readonly(self.values)
         if values.ndim != 1:
             raise ValueError("attribution values must be a flat vector")
         if not np.all(np.isfinite(values)):
             raise NonFiniteAttribution("attribution values must be finite")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def __len__(self):

@@ -69,7 +69,8 @@ def _act_deriv(name, z):
 
 
 def _readonly(a):
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    """A read-only C-ordered float copy of a; the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -96,47 +97,6 @@ class Head:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearParams:
-    a: np.ndarray
-    b: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _readonly(self.a))
-        object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticParams:
-    lam: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(self.lam))
-        object.__setattr__(self, "c", _readonly(self.c))
-        if self.lam.shape != self.c.shape:
-            raise ValueError("lambda and center must have the same length")
-
-
-@dataclass(frozen=True, eq=False)
-class GaussMixtureParams:
-    """Isotropic Gaussian bumps: weights, centers (rows), and widths."""
-
-    weights: np.ndarray
-    centers: np.ndarray
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _readonly(self.weights))
-        object.__setattr__(self, "centers", _readonly(np.atleast_2d(self.centers)))
-        object.__setattr__(self, "sigmas", _readonly(self.sigmas))
-        k = self.weights.size
-        if self.centers.shape[0] != k or self.sigmas.size != k:
-            raise ValueError("component counts disagree")
-        if np.any(self.sigmas <= 0):
-            raise ValueError("sigmas must be positive")
-
-
-@dataclass(frozen=True, eq=False)
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -151,42 +111,65 @@ class Layer:
             raise ValueError("bias length must match layer output size")
 
 
-@dataclass(frozen=True, eq=False)
-class MlpParams:
-    layers: tuple
-
-    def __post_init__(self):
-        layers = tuple(self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
+def _checked_params(kind: str, params):
+    """The checked tuple of read-only copies a ``kind`` model keeps, and the input length it fixes."""
+    if kind == "mlp":
+        params = tuple(params)
+        if not params:
             raise ValueError("mlp needs at least one layer")
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.weight.shape[1] != prev.weight.shape[0]:
-                raise ValueError("layer shapes do not chain")
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        if any(nxt.weight.shape[1] != prev.weight.shape[0] for prev, nxt in zip(params, params[1:])):
+            raise ValueError("layer shapes do not chain")
+        arrays = [a for layer in params for a in (layer.weight, layer.bias)]
+        n = params[0].weight.shape[1]
+    elif kind == "linear":
+        a, b = params
+        params = arrays = (_readonly(a), float(b))
+        n = arrays[0].size
+    elif kind == "quadratic":
+        lam, c = (_readonly(p) for p in params)
+        if lam.shape != c.shape:
+            raise ValueError("lambda and center must have the same length")
+        params = arrays = (lam, c)
+        n = lam.size
+    else:
+        weights, centers, sigmas = params
+        weights, centers, sigmas = _readonly(weights), _readonly(np.atleast_2d(centers)), _readonly(sigmas)
+        if centers.shape[0] != weights.size or sigmas.size != weights.size:
+            raise ValueError("component counts disagree")
+        if np.any(sigmas <= 0):
+            raise ValueError("sigmas must be positive")
+        params = arrays = (weights, centers, sigmas)
+        n = centers.shape[1]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("model parameters must be finite")
+    return params, n
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A scalar-valued differentiable function f: R^N -> R."""
+    """A scalar-valued differentiable function f: R^N -> R.
+
+    ``params`` is a tuple, checked against ``dim`` and holding read-only
+    copies of the arrays given: ``(a, b)`` for linear, ``(lam, c)`` for
+    quadratic, ``(weights, centers, sigmas)`` with one center row per
+    component for gauss-mixture, and the :class:`Layer` objects, input
+    layer first, for mlp.
+    """
 
     kind: str
     dim: int
-    params: object
+    params: tuple
     head: Head = field(default_factory=Head)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        params, n = _checked_params(self.kind, self.params)
+        object.__setattr__(self, "params", params)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+        if self.dim != n:
+            raise ValueError(f"dim {self.dim} does not match the parameters' {n} inputs")
         k = self.out_dim
         if self.head.type == "softmax":
             if self.kind != "mlp" or k < 2:
@@ -195,18 +178,14 @@ class Model:
                 raise ValueError("softmax target out of range")
         elif k != 1:
             raise ValueError(f"{self.head.type} head requires a single raw output")
-        if self.kind == "mlp" and self.params.in_dim != self.dim:
-            raise ValueError("mlp input size must match model dimension")
 
     @property
     def out_dim(self) -> int:
-        return self.params.out_dim if self.kind == "mlp" else 1
+        return self.params[-1].weight.shape[0] if self.kind == "mlp" else 1
 
     @property
     def uses_relu(self) -> bool:
-        return self.kind == "mlp" and any(
-            layer.activation == "relu" for layer in self.params.layers
-        )
+        return self.kind == "mlp" and any(layer.activation == "relu" for layer in self.params)
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -235,15 +214,15 @@ def _check_batch(model: Model, xs) -> np.ndarray:
     return xs
 
 
-def _mlp_forward(params: MlpParams, xs):
-    """Forward pass; returns logits and per-layer pre-activations."""
-    return _mlp_from_first(params, xs @ params.layers[0].weight.T)
+def _mlp_forward(layers, xs):
+    """Forward pass through the layers; returns logits and per-layer pre-activations."""
+    return _mlp_from_first(layers, xs @ layers[0].weight.T)
 
 
-def _mlp_from_first(params: MlpParams, s):
+def _mlp_from_first(layers, s):
     """:func:`_mlp_forward` from the first layer's weighted inputs ``s = xs @ W1.T``."""
     pre, a = [], None
-    for layer in params.layers:
+    for layer in layers:
         # drop s once used: holding a large array alive slows later allocations
         z, s = (s if a is None else a @ layer.weight.T) + layer.bias, None
         pre.append(z)
@@ -251,7 +230,7 @@ def _mlp_from_first(params: MlpParams, s):
     return a, pre
 
 
-def _mlp_backward(params: MlpParams, pre, cotangent):
+def _mlp_backward(layers, pre, cotangent):
     """Backpropagate a (n, K) cotangent on the logits of :func:`_mlp_forward`.
 
     Returns the cotangent on the inputs and, first layer first, the one on
@@ -260,7 +239,7 @@ def _mlp_backward(params: MlpParams, pre, cotangent):
     """
     dzs = []
     delta = cotangent
-    for layer, z in zip(reversed(params.layers), reversed(pre)):
+    for layer, z in zip(reversed(layers), reversed(pre)):
         dz = delta * _act_deriv(layer.activation, z)
         dzs.append(dz)
         delta = dz @ layer.weight
@@ -276,24 +255,28 @@ def _first_stage(model: Model, xs):
     """The first stage s of every row of xs; shape (n, m)."""
     p = model.params
     if model.kind == "mlp":
-        return xs @ p.layers[0].weight.T
+        return xs @ p[0].weight.T
     if model.kind == "linear":
-        return (xs @ p.a)[:, None]
+        return (xs @ p[0])[:, None]
     if model.kind == "quadratic":
-        return np.sum(p.lam * (xs - p.c) ** 2, axis=1)[:, None]
-    return ((xs[:, None, :] - p.centers[None, :, :]) ** 2).sum(axis=2)
+        lam, c = p
+        return np.sum(lam * (xs - c) ** 2, axis=1)[:, None]
+    centers = p[1]
+    return ((xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def _feature_terms(model: Model, v):
     """phi_j(v_j), the first-stage term of each feature of the vector v; shape (N, m)."""
     p = model.params
     if model.kind == "mlp":
-        return v[:, None] * p.layers[0].weight.T
+        return v[:, None] * p[0].weight.T
     if model.kind == "linear":
-        return (v * p.a)[:, None]
+        return (v * p[0])[:, None]
     if model.kind == "quadratic":
-        return (p.lam * (v - p.c) ** 2)[:, None]
-    return (v[:, None] - p.centers.T) ** 2
+        lam, c = p
+        return (lam * (v - c) ** 2)[:, None]
+    centers = p[1]
+    return (v[:, None] - centers.T) ** 2
 
 
 def _rest(model: Model, s):
@@ -302,11 +285,12 @@ def _rest(model: Model, s):
     if model.kind == "mlp":
         return _mlp_from_first(p, s)
     if model.kind == "linear":
-        raw = s[:, 0] + p.b
+        raw = s[:, 0] + p[1]
     elif model.kind == "quadratic":
         raw = 0.5 * s[:, 0]
     else:
-        raw = np.sum(p.weights * np.exp(-s / (2.0 * p.sigmas**2)), axis=1)
+        weights, _, sigmas = p
+        raw = np.sum(weights * np.exp(-s / (2.0 * sigmas**2)), axis=1)
     return raw[:, None], None
 
 
@@ -324,12 +308,14 @@ def _raw_grad_batch(model: Model, xs, pre, cotangent):
         return _mlp_backward(p, pre, cotangent)[0]
     scale = cotangent[:, 0][:, None]
     if model.kind == "linear":
-        return scale * p.a
+        return scale * p[0]
     if model.kind == "quadratic":
-        return scale * (p.lam * (xs - p.c))
-    d = xs[:, None, :] - p.centers[None, :, :]
+        lam, c = p
+        return scale * (lam * (xs - c))
+    weights, centers, sigmas = p
+    d = xs[:, None, :] - centers[None, :, :]
     d2 = (d**2).sum(axis=2)
-    coef = p.weights * np.exp(-d2 / (2.0 * p.sigmas**2)) / p.sigmas**2
+    coef = weights * np.exp(-d2 / (2.0 * sigmas**2)) / sigmas**2
     return scale * -(coef[:, :, None] * d).sum(axis=1)
 
 
@@ -424,15 +410,11 @@ def fd_gradient(model: Model, x, h: float = 1e-5) -> np.ndarray:
 
 
 def linear_model(a, b=0.0, head=Head()) -> Model:
-    a = np.asarray(a, dtype=float)
-    return Model("linear", a.size, LinearParams(a, b), head)
+    return Model("linear", np.size(a), (a, b), head)
 
 
 def quadratic_model(lam, c=None, head=Head()) -> Model:
-    lam = np.asarray(lam, dtype=float)
-    if c is None:
-        c = np.zeros_like(lam)
-    return Model("quadratic", lam.size, QuadraticParams(lam, c), head)
+    return Model("quadratic", np.size(lam), (lam, np.zeros(np.shape(lam)) if c is None else c), head)
 
 
 def gauss_bump(dim: int, center=None, sigma=1.0, weight=1.0, head=Head()) -> Model:
@@ -440,18 +422,16 @@ def gauss_bump(dim: int, center=None, sigma=1.0, weight=1.0, head=Head()) -> Mod
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     if center.shape != (dim,):
         raise ValueError(f"center must have shape ({dim},), got {center.shape}")
-    params = GaussMixtureParams([weight], center[None, :], [sigma])
-    return Model("gauss-mixture", dim, params, head)
+    return gauss_mixture_model([weight], center[None, :], [sigma], head)
 
 
 def gauss_mixture_model(weights, centers, sigmas, head=Head()) -> Model:
-    params = GaussMixtureParams(weights, centers, sigmas)
-    return Model("gauss-mixture", params.centers.shape[1], params, head)
+    return Model("gauss-mixture", np.atleast_2d(centers).shape[1], (weights, centers, sigmas), head)
 
 
 def mlp_model(layers, head=Head()) -> Model:
-    params = MlpParams(tuple(layers))
-    return Model("mlp", params.in_dim, params, head)
+    layers = tuple(layers)  # with none, Model raises before it reads the dim
+    return Model("mlp", layers[0].weight.shape[1] if layers else 0, layers, head)
 
 
 def random_mlp(
@@ -491,14 +471,14 @@ def model_to_json(model: Model) -> dict:
     """Model as a plain JSON-serializable document."""
     p = model.params
     if model.kind == "linear":
-        params = {"a": p.a.tolist(), "b": p.b}
+        params = {"a": p[0].tolist(), "b": p[1]}
     elif model.kind == "quadratic":
-        params = {"lambda": p.lam.tolist(), "c": p.c.tolist()}
+        params = {"lambda": p[0].tolist(), "c": p[1].tolist()}
     elif model.kind == "gauss-mixture":
         params = {
             "components": [
                 {"weight": float(w), "center": c.tolist(), "sigma": float(s)}
-                for w, c, s in zip(p.weights, p.centers, p.sigmas)
+                for w, c, s in zip(*p)
             ]
         }
     else:
@@ -509,9 +489,9 @@ def model_to_json(model: Model) -> dict:
                     "b": layer.bias.tolist(),
                     "activation": layer.activation,
                 }
-                for layer in p.layers
+                for layer in p
             ],
-            "out_dim": p.out_dim,
+            "out_dim": model.out_dim,
         }
     return {
         "kind": model.kind,

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (Head, Layer, Model, MlpParams, _act, _mlp_backward, _mlp_forward,
-                     _raw_batch, expit, mlp_model, softmax)
+from .models import (Head, Layer, Model, _act, _mlp_backward, _mlp_forward, _raw_batch, expit,
+                     mlp_model, softmax)
 
 
 @dataclass
@@ -30,7 +30,7 @@ def _init_layers(rng, sizes, activation):
         w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
         act = activation if i < len(sizes) - 2 else "identity"
         layers.append(Layer(w, np.zeros(n_out), act))
-    return MlpParams(tuple(layers))
+    return tuple(layers)
 
 
 def fit_toy_model(
@@ -48,12 +48,15 @@ def fit_toy_model(
     labels {0..K-1} with K > 2 give K logits with a softmax head (target
     class 0 by default, re-targetable via the head).  Deterministic given
     the seed.  Non-convergence is not an error; the final loss is reported.
-    Fewer than one epoch is a ValueError.
+    Fewer than one epoch, a non-finite entry in X, or a fit whose weights
+    overflow to non-finite values is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, N) array")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("dataset contains non-finite values")
     if X.shape[0] != y.size:
         raise ValueError("labels must match the number of samples")
     if epochs < 1:
@@ -64,13 +67,13 @@ def fit_toy_model(
     out_dim = 1 if binary else n_classes
 
     rng = np.random.default_rng(seed)
-    params = _init_layers(rng, (dim, *hidden, out_dim), activation)
+    layers = _init_layers(rng, (dim, *hidden, out_dim), activation)
     onehot = None if binary else np.eye(n_classes)[y]
     yf = y.astype(float)
 
     loss = np.inf
     for _ in range(epochs):
-        logits, pre = _mlp_forward(params, X)
+        logits, pre = _mlp_forward(layers, X)
         # loss gradient on the logits (mean reduction)
         if binary:
             p = expit(logits[:, 0])
@@ -81,16 +84,16 @@ def fit_toy_model(
             probs = softmax(logits)
             loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-12))
             delta = (probs - onehot) / n
-        _, dzs = _mlp_backward(params, pre, delta)
-        inputs = [X] + [_act(layer.activation, z) for layer, z in zip(params.layers, pre[:-1])]
-        params = MlpParams(tuple(
+        _, dzs = _mlp_backward(layers, pre, delta)
+        inputs = [X] + [_act(layer.activation, z) for layer, z in zip(layers, pre[:-1])]
+        layers = tuple(
             Layer(layer.weight - learning_rate * (dz.T @ a),
                   layer.bias - learning_rate * dz.sum(axis=0), layer.activation)
-            for layer, dz, a in zip(params.layers, dzs, inputs)
-        ))
+            for layer, dz, a in zip(layers, dzs, inputs)
+        )
 
     head = Head("sigmoid") if binary else Head("softmax", target=0)
-    model = mlp_model(params.layers, head)
+    model = mlp_model(layers, head)
     acc = training_accuracy(model, X, y)
     return FitResult(model, float(loss), acc, epochs)
 

@@ -231,6 +231,8 @@ MISUSE = {
     "train-toy-hidden-not-int": ["train-toy", "--hidden", "abc"],
     "train-toy-hidden-0": ["train-toy", "--hidden", "0"],
     "train-toy-epochs-0": ["train-toy", "--epochs", "0"],
+    "train-toy-nan-cell": ["train-toy", "--input", "{nancsv}"],
+    "model-nan-weight": ["verify", "--model", "{nanweight}"],
     "verify-out-missing": ["verify", NO_OUT],
     "unknown-option": ["attribute", "--method", "saliency", "--bogus"],
     "eval-replacement-bad-choice": ["eval", "--replacement", "white"],
@@ -243,9 +245,14 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
     badhead = {"type": "identity", "logit": True, "target": 9}
     (tmp_path / "badhead.json").write_text(json.dumps({**doc, "head": badhead}))
+    (tmp_path / "nanweight.json").write_text(json.dumps({**doc, "params": {"a": [np.nan, 1.0], "b": 0.0}}))
+    X, y = fg.blob_dataset(20, seed=3)
+    X[4, 1] = np.nan
+    fg.save_dataset_csv(tmp_path / "nan.csv", X, y)
     out = tmp_path / "out"
     out.mkdir()
     argv = [a.format(baddim=tmp_path / "baddim.json", badhead=tmp_path / "badhead.json",
+                     nanweight=tmp_path / "nanweight.json", nancsv=tmp_path / "nan.csv",
                      missing=out / "missing" / "o", huge=fixtures / "huge2.txt") for a in argv]
     model = ["--model", str(fixtures / "linear.json")]
     defaults = {

@@ -3,8 +3,9 @@
 Every import of a module in ``src/fluxgrad`` is used, every private
 module-level function or class is referenced somewhere in ``src/``, no
 module-level assignment gives a second name to something that already has
-one, and every field of a method or evaluation config is set as a keyword
-by some call in ``cli.py`` or ``evalkit.py``.  ``__init__.py`` re-exports
+one, every field of a method or evaluation config is set as a keyword by
+some call in ``cli.py`` or ``evalkit.py``, and ``models._readonly`` is the
+one place that makes an array read-only.  ``__init__.py`` re-exports
 names it does not use, so it is only searched for references.
 """
 
@@ -90,3 +91,16 @@ def test_every_config_field_is_set_outside_the_tests():
         for kw in node.keywords
     }
     assert sorted(f for f in fields if f.split(".")[1] not in set_by_callers) == []
+
+
+def test_only_models_readonly_freezes_arrays():
+    # one freeze helper, which copies, so no caller's array is frozen behind its back
+    freezers = sorted(
+        f"{module}:{getattr(node, 'name', '<module>')}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "setflags"
+    )
+    assert freezers == ["models.py:_readonly"]

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -154,7 +156,7 @@ class TestFitToyModel:
         X, y = fg.blob_dataset(100, seed=1)
         a = fg.fit_toy_model(X, y, seed=7)
         b = fg.fit_toy_model(X, y, seed=7)
-        for la, lb in zip(a.model.params.layers, b.model.params.layers):
+        for la, lb in zip(a.model.params, b.model.params):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
 
@@ -283,3 +285,105 @@ def test_training_accuracy_of_a_linear_model():
     y = np.array([1, 0, 1, 1])
     m = fg.linear_model([1.0, 0.0], head=fg.Head("sigmoid"))
     assert fg.training_accuracy(m, X, y) == 1.0
+
+
+def test_stored_arrays_are_read_only_copies_of_the_callers():
+    a, x, v, b, c = (np.array([1.0, -2.0]) for _ in range(5))
+    model = fg.linear_model(a)
+    attr = fg.neflag_attribute(model, x)
+    stored = [
+        model.params[0],
+        attr.values,
+        fg.AttributionMap(v, "u").values,
+        fg.IgConfig(baseline=b).baseline,
+        fg.SphereSpec(c, 0.1).center,
+    ]
+    before = [s.copy() for s in stored]
+    for given in (a, x, v, b, c):
+        assert given.flags.writeable
+        given[0] = 7.0
+    assert all(not s.flags.writeable for s in stored)
+    assert all(np.array_equal(s, old) for s, old in zip(stored, before))
+
+
+def _doc(kind, dim=None, **params):
+    return {"kind": kind, "params": params, **({} if dim is None else {"dim": dim})}
+
+
+_W32 = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+BAD_MODELS = {
+    "lambda-center-lengths": (
+        lambda: fg.quadratic_model([1.0, 2.0], [0.0]),
+        _doc("quadratic", **{"lambda": [1.0, 2.0], "c": [0.0]}),
+        "lambda and center must have the same length"),
+    "gauss-component-counts": (
+        lambda: fg.gauss_mixture_model([1.0, 1.0], [[0.0, 0.0]], [1.0, 1.0]),
+        None,  # a model file gives each component one weight, center and sigma
+        "component counts disagree"),
+    "gauss-sigma-zero": (
+        lambda: fg.gauss_mixture_model([1.0], [[0.0, 0.0]], [0.0]),
+        _doc("gauss-mixture", components=[{"weight": 1.0, "center": [0.0, 0.0], "sigma": 0.0}]),
+        "sigmas must be positive"),
+    "mlp-no-layers": (
+        lambda: fg.mlp_model([]),
+        _doc("mlp", layers=[]),
+        "mlp needs at least one layer"),
+    "mlp-layers-do-not-chain": (
+        lambda: fg.mlp_model([fg.Layer(_W32, np.zeros(3), "tanh"), fg.Layer([[1.0, 1.0]], [0.0])]),
+        _doc("mlp", layers=[{"W": _W32, "b": [0.0] * 3, "activation": "tanh"},
+                            {"W": [[1.0, 1.0]], "b": [0.0], "activation": "identity"}]),
+        "layer shapes do not chain"),
+    "layer-bias-length": (
+        lambda: fg.mlp_model([fg.Layer(_W32, np.zeros(2))]),
+        _doc("mlp", layers=[{"W": _W32, "b": [0.0] * 2, "activation": "identity"}]),
+        "bias length must match layer output size"),
+    "layer-unknown-activation": (
+        lambda: fg.mlp_model([fg.Layer([[1.0, 1.0]], [0.0], "sigmoid")]),
+        _doc("mlp", layers=[{"W": [[1.0, 1.0]], "b": [0.0], "activation": "sigmoid"}]),
+        "unknown activation 'sigmoid'"),
+    "mlp-dim": (
+        lambda: fg.Model("mlp", 3, (fg.Layer([[1.0, 1.0]], [0.0]),)),
+        _doc("mlp", 3, layers=[{"W": [[1.0, 1.0]], "b": [0.0], "activation": "identity"}]),
+        "dim 3 does not match the parameters' 2 inputs"),
+    "linear-dim": (
+        lambda: fg.Model("linear", 3, (np.array([1.0, 2.0]), 0.0)),
+        _doc("linear", 3, a=[1.0, 2.0]),
+        "dim 3 does not match the parameters' 2 inputs"),
+    "quadratic-dim": (
+        lambda: fg.Model("quadratic", 1, ([1.0, 2.0], [0.0, 0.0])),
+        _doc("quadratic", 1, **{"lambda": [1.0, 2.0], "c": [0.0, 0.0]}),
+        "dim 1 does not match the parameters' 2 inputs"),
+    "gauss-dim": (
+        lambda: fg.Model("gauss-mixture", 2, ([1.0], [[0.0, 0.0, 0.0]], [1.0])),
+        _doc("gauss-mixture", 2, components=[{"weight": 1.0, "center": [0.0] * 3, "sigma": 1.0}]),
+        "dim 2 does not match the parameters' 3 inputs"),
+    "linear-nan-weight": (
+        lambda: fg.linear_model([np.nan, 1.0]),
+        _doc("linear", a=[np.nan, 1.0]),
+        "model parameters must be finite"),
+    "linear-inf-offset": (
+        lambda: fg.linear_model([1.0, 1.0], b=np.inf),
+        _doc("linear", a=[1.0, 1.0], b=np.inf),
+        "model parameters must be finite"),
+    "quadratic-nan-center": (
+        lambda: fg.quadratic_model([1.0], [np.nan]),
+        _doc("quadratic", **{"lambda": [1.0], "c": [np.nan]}),
+        "model parameters must be finite"),
+    "gauss-inf-weight": (
+        lambda: fg.gauss_mixture_model([np.inf], [[0.0]], [1.0]),
+        _doc("gauss-mixture", components=[{"weight": np.inf, "center": [0.0], "sigma": 1.0}]),
+        "model parameters must be finite"),
+    "mlp-nan-bias": (
+        lambda: fg.mlp_model([fg.Layer([[1.0, 1.0]], [np.nan])]),
+        _doc("mlp", layers=[{"W": [[1.0, 1.0]], "b": [np.nan], "activation": "identity"}]),
+        "model parameters must be finite"),
+}
+
+
+@pytest.mark.parametrize("build, doc, message", BAD_MODELS.values(), ids=BAD_MODELS.keys())
+def test_every_model_check_holds_for_constructors_and_files(build, doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+    if doc is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fg.model_from_json(json.loads(json.dumps(doc)))  # NaN and Infinity as a file has them
