@@ -1,6 +1,5 @@
 """The per-feature attribution container and its file formats."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +51,6 @@ class AttributionMap:
             dict(doc.get("params", {})),
             doc.get("samples_used"),
         )
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     def csv_str(self) -> str:
         """Flat CSV: feature index, attribution value."""

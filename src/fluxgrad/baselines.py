@@ -19,8 +19,8 @@ class SmoothGradConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be >= 0 and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -89,10 +89,11 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     )
 
 
-def ig_completeness_gap(model: Model, x, attribution: AttributionMap, baseline=None) -> float:
-    """Attribution sum minus (f(x) - f(baseline)); near zero for good paths."""
-    x = np.asarray(x, dtype=float)
-    baseline = np.zeros_like(x) if baseline is None else np.asarray(baseline, dtype=float)
+def ig_completeness_gap(model: Model, x, attribution: AttributionMap) -> float:
+    """Attribution sum minus (f(x) - f(baseline)) for the map's own baseline; near zero for good paths."""
+    if "baseline" not in attribution.params:
+        raise ValueError(f"the {attribution.method} map records no baseline")
+    baseline = attribution.params["baseline"]
     return float(attribution.values.sum() - (evaluate(model, x) - evaluate(model, baseline)))
 
 

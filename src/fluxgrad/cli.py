@@ -291,10 +291,6 @@ def main(argv=None) -> int:
         _check_out_dir(args.out)
         if args.seed < 0:
             raise CliError(f"seed: must be >= 0, got {args.seed}")
-        for name in ("epsilon", "sigma", "lr"):
-            value = getattr(args, name, None)
-            if value is not None and not np.isfinite(value):
-                raise CliError(f"{name}: must be finite, got {value}")
         with np.errstate(all="ignore"):  # stderr carries one error: line, never a numpy warning
             return args.fn(args)
     except (CliError, FluxgradError) as exc:

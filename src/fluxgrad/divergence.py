@@ -132,10 +132,19 @@ class DivergenceTheoremReport:
 
     volume_integral: float
     surface_integral: float
-    difference: float
     combined_standard_error: float
-    passed: bool
     samples: int
+
+    @property
+    def difference(self) -> float:
+        return self.volume_integral - self.surface_integral
+
+    @property
+    def passed(self) -> bool:
+        """Agreement within 3 combined standard errors or 2% relative, whichever is looser."""
+        diff = abs(self.difference)
+        scale = max(abs(self.volume_integral), abs(self.surface_integral))
+        return bool(diff < 3.0 * self.combined_standard_error or (scale > 0 and diff < 0.02 * scale))
 
     def to_json(self) -> dict:
         return {
@@ -157,11 +166,8 @@ def divergence_theorem_report(
     samples: int = 100_000,
     seed: int = 0,
 ) -> DivergenceTheoremReport:
-    """Cross-check the volume divergence integral against the surface flux.
-
-    PASS when the two sides agree within 3 combined standard errors or 2%
-    relative (whichever is looser).
-    """
+    """Cross-check the volume divergence integral against the surface flux; see
+    :attr:`DivergenceTheoremReport.passed` for the verdict."""
     ss = np.random.SeedSequence(seed)
     kids = ss.spawn(2)
     lhs = volume_divergence_integral(
@@ -170,10 +176,5 @@ def divergence_theorem_report(
     rhs = surface_flux_integral(
         model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31)
     )
-    diff = lhs.value - rhs.value
     se = float(np.hypot(lhs.standard_error, rhs.standard_error))
-    scale = max(abs(lhs.value), abs(rhs.value))
-    passed = abs(diff) < 3.0 * se or (scale > 0 and abs(diff) < 0.02 * scale)
-    return DivergenceTheoremReport(
-        float(lhs.value), float(rhs.value), float(diff), se, bool(passed), samples
-    )
+    return DivergenceTheoremReport(float(lhs.value), float(rhs.value), se, samples)

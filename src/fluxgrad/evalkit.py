@@ -51,19 +51,22 @@ class EvalConfig:
 
 @dataclass(frozen=True, eq=False)
 class EvalCurve:
-    """Ordered (fraction replaced, model score) pairs with trapezoid AUC."""
+    """Model scores after 0, 1, ..., N of N features moved, with their fractions and trapezoid AUC."""
 
-    fractions: np.ndarray
     scores: np.ndarray
-    auc: float
 
     def __post_init__(self):
-        for name in ("fractions", "scores"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.fractions[0] != 0.0 or self.fractions[-1] != 1.0:
-            raise ValueError("fractions must run from 0 to 1")
-        if np.any(np.diff(self.fractions) <= 0):
-            raise ValueError("fractions must be strictly increasing")
+        object.__setattr__(self, "scores", _readonly(self.scores))
+        if self.scores.ndim != 1 or self.scores.size < 2:
+            raise ValueError("scores must be a flat vector of at least 2 points")
+
+    @property
+    def fractions(self) -> np.ndarray:
+        return np.arange(self.scores.size) / (self.scores.size - 1)
+
+    @property
+    def auc(self) -> float:
+        return float(np.trapezoid(self.scores, self.fractions))
 
 
 def feature_order(attribution: AttributionMap) -> np.ndarray:
@@ -103,12 +106,11 @@ def _round(model: Model, x, cfg: EvalConfig):
     repl = replacement_input(x, cfg)
     ends = evaluate_batch(model, np.stack([x, repl]))  # exact, so deletion ends where insertion starts
     path = path_change(model, x, repl)
-    fractions = np.arange(x.size + 1) / x.size
 
     def curves(order) -> list:
         dele, ins = path_scores(model, path, order)
-        scores = [np.concatenate([ends[:1], dele, ends[1:]]), np.concatenate([ends[1:], ins, ends[:1]])]
-        return [EvalCurve(fractions, s, float(np.trapezoid(s, fractions))) for s in scores]
+        return [EvalCurve(np.concatenate([ends[:1], dele, ends[1:]])),
+                EvalCurve(np.concatenate([ends[1:], ins, ends[:1]]))]
 
     return curves
 
@@ -192,8 +194,8 @@ def make_method(name: str, **params):
             return saliency(model, x)
     elif name == "taylor":
         epsilon = params.get("epsilon", 0.1)
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
         def run(model, x, seed):
             point = sample_sphere(SphereSpec(np.asarray(x, dtype=float), epsilon), seed)

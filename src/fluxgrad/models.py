@@ -119,18 +119,18 @@ def _checked_params(kind: str, params):
             raise ValueError("mlp needs at least one layer")
         if any(nxt.weight.shape[1] != prev.weight.shape[0] for prev, nxt in zip(params, params[1:])):
             raise ValueError("layer shapes do not chain")
-        arrays = [a for layer in params for a in (layer.weight, layer.bias)]
+        arrays, axes = [a for layer in params for a in (layer.weight, layer.bias)], (2, 1) * len(params)
         n = params[0].weight.shape[1]
     elif kind == "linear":
         a, b = params
-        params = arrays = (_readonly(a), float(b))
-        n = arrays[0].size
+        params = arrays = (_readonly(a), _readonly(b))
+        n, axes = arrays[0].size, (1, 0)
     elif kind == "quadratic":
         lam, c = (_readonly(p) for p in params)
         if lam.shape != c.shape:
             raise ValueError("lambda and center must have the same length")
         params = arrays = (lam, c)
-        n = lam.size
+        n, axes = lam.size, (1, 1)
     else:
         weights, centers, sigmas = params
         weights, centers, sigmas = _readonly(weights), _readonly(np.atleast_2d(centers)), _readonly(sigmas)
@@ -139,7 +139,9 @@ def _checked_params(kind: str, params):
         if np.any(sigmas <= 0):
             raise ValueError("sigmas must be positive")
         params = arrays = (weights, centers, sigmas)
-        n = centers.shape[1]
+        n, axes = centers.shape[1], (1, 2, 1)
+    if any(a.ndim != k for a, k in zip(arrays, axes)):
+        raise ValueError(f"{kind} parameters have the wrong number of axes")
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("model parameters must be finite")
     return params, n
@@ -149,15 +151,14 @@ def _checked_params(kind: str, params):
 class Model:
     """A scalar-valued differentiable function f: R^N -> R.
 
-    ``params`` is a tuple, checked against ``dim`` and holding read-only
-    copies of the arrays given: ``(a, b)`` for linear, ``(lam, c)`` for
-    quadratic, ``(weights, centers, sigmas)`` with one center row per
-    component for gauss-mixture, and the :class:`Layer` objects, input
-    layer first, for mlp.
+    ``params`` is a checked tuple of read-only copies of the arrays given,
+    which fix ``dim``: ``(a, b)`` for linear, ``(lam, c)`` for quadratic,
+    ``(weights, centers, sigmas)`` with one center row per component for
+    gauss-mixture, and the :class:`Layer` objects, input layer first, for mlp.
     """
 
     kind: str
-    dim: int
+    dim: int = field(init=False)
     params: tuple
     head: Head = field(default_factory=Head)
 
@@ -166,10 +167,9 @@ class Model:
             raise ValueError(f"unknown model kind {self.kind!r}")
         params, n = _checked_params(self.kind, self.params)
         object.__setattr__(self, "params", params)
-        if self.dim < 1:
+        object.__setattr__(self, "dim", n)
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.dim != n:
-            raise ValueError(f"dim {self.dim} does not match the parameters' {n} inputs")
         k = self.out_dim
         if self.head.type == "softmax":
             if self.kind != "mlp" or k < 2:
@@ -410,11 +410,11 @@ def fd_gradient(model: Model, x, h: float = 1e-5) -> np.ndarray:
 
 
 def linear_model(a, b=0.0, head=Head()) -> Model:
-    return Model("linear", np.size(a), (a, b), head)
+    return Model("linear", (a, b), head)
 
 
 def quadratic_model(lam, c=None, head=Head()) -> Model:
-    return Model("quadratic", np.size(lam), (lam, np.zeros(np.shape(lam)) if c is None else c), head)
+    return Model("quadratic", (lam, np.zeros(np.shape(lam)) if c is None else c), head)
 
 
 def gauss_bump(dim: int, center=None, sigma=1.0, weight=1.0, head=Head()) -> Model:
@@ -426,12 +426,11 @@ def gauss_bump(dim: int, center=None, sigma=1.0, weight=1.0, head=Head()) -> Mod
 
 
 def gauss_mixture_model(weights, centers, sigmas, head=Head()) -> Model:
-    return Model("gauss-mixture", np.atleast_2d(centers).shape[1], (weights, centers, sigmas), head)
+    return Model("gauss-mixture", (weights, centers, sigmas), head)
 
 
 def mlp_model(layers, head=Head()) -> Model:
-    layers = tuple(layers)  # with none, Model raises before it reads the dim
-    return Model("mlp", layers[0].weight.shape[1] if layers else 0, layers, head)
+    return Model("mlp", layers, head)
 
 
 def random_mlp(
@@ -471,7 +470,7 @@ def model_to_json(model: Model) -> dict:
     """Model as a plain JSON-serializable document."""
     p = model.params
     if model.kind == "linear":
-        params = {"a": p[0].tolist(), "b": p[1]}
+        params = {"a": p[0].tolist(), "b": float(p[1])}
     elif model.kind == "quadratic":
         params = {"lambda": p[0].tolist(), "c": p[1].tolist()}
     elif model.kind == "gauss-mixture":

@@ -46,8 +46,8 @@ class SphereSpec:
     def __post_init__(self):
         object.__setattr__(self, "center", _readonly(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -69,8 +69,11 @@ class FluxPoint:
     location: np.ndarray
     gradient: np.ndarray
     normal: np.ndarray
-    flux: float
     approx_flux: float
+
+    @property
+    def flux(self) -> float:
+        return float(self.gradient @ self.normal)
 
     @property
     def is_negative(self) -> bool:
@@ -94,8 +97,8 @@ class NeflagConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.max_steps < 1:
@@ -128,7 +131,7 @@ def _flux_point(model: Model, sphere: SphereSpec, x_t, grad) -> FluxPoint:
     dist = float(np.linalg.norm(off))
     normal = off / dist
     approx = (evaluate(model, x_t) - evaluate(model, sphere.center)) / dist
-    return FluxPoint(x_t, grad, normal, float(grad @ normal), float(approx))
+    return FluxPoint(x_t, grad, normal, float(approx))
 
 
 def flux_at(model: Model, sphere: SphereSpec, x_t) -> FluxPoint:

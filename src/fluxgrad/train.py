@@ -21,7 +21,6 @@ class FitResult:
     model: Model
     loss: float
     accuracy: float
-    epochs: int
 
 
 def _init_layers(rng, sizes, activation):
@@ -48,8 +47,9 @@ def fit_toy_model(
     labels {0..K-1} with K > 2 give K logits with a softmax head (target
     class 0 by default, re-targetable via the head).  Deterministic given
     the seed.  Non-convergence is not an error; the final loss is reported.
-    Fewer than one epoch, a non-finite entry in X, or a fit whose weights
-    overflow to non-finite values is a ValueError.
+    Fewer than one epoch, a learning rate that is not positive and finite,
+    a non-finite entry in X, or a fit whose weights overflow to non-finite
+    values is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -61,6 +61,8 @@ def fit_toy_model(
         raise ValueError("labels must match the number of samples")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if not 0 < learning_rate < np.inf:
+        raise ValueError("learning_rate must be positive and finite")
     n, dim = X.shape
     n_classes = int(y.max()) + 1 if y.size else 0
     binary = n_classes <= 2
@@ -95,7 +97,7 @@ def fit_toy_model(
     head = Head("sigmoid") if binary else Head("softmax", target=0)
     model = mlp_model(layers, head)
     acc = training_accuracy(model, X, y)
-    return FitResult(model, float(loss), acc, epochs)
+    return FitResult(model, float(loss), acc)
 
 
 def training_accuracy(model: Model, X, y) -> float:

@@ -94,6 +94,18 @@ class TestIntegratedGradients:
                 improved += 1
         assert improved >= 45
 
+    def test_completeness_gap_uses_the_maps_baseline(self):
+        model = fg.random_mlp(3, activation="tanh", seed=1)
+        x = np.array([0.5, -0.2, 0.3])
+        for baseline in (None, np.ones(3)):
+            att = fg.integrated_gradients(model, x, fg.IgConfig(baseline=baseline, steps=200))
+            assert abs(fg.ig_completeness_gap(model, x, att)) < 1e-6
+
+    def test_completeness_gap_needs_a_baseline(self):
+        m = fg.linear_model([1.0, 2.0])
+        with pytest.raises(ValueError, match="no baseline"):
+            fg.ig_completeness_gap(m, [1.0, 1.0], fg.saliency(m, [1.0, 1.0]))
+
     def test_baseline_dimension_checked(self):
         m = fg.linear_model([1.0, 2.0])
         with pytest.raises(fg.DimensionMismatch):

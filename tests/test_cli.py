@@ -15,16 +15,13 @@ from hypothesis import strategies as st
 import fluxgrad as fg
 from fluxgrad import cli
 
+from conftest import subprocess_env
+
 CLI = [sys.executable, "-m", "fluxgrad.cli"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=subprocess_env())
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +220,7 @@ MISUSE = {
     "eval-blur-grid": ["eval", "--replacement", "blur", "--grid", "3x3"],
     "eval-limit-neg": ["eval", "--limit", "-1"],
     "model-dim-contradicts-params": ["attribute", "--method", "saliency", "--model", "{baddim}"],
+    "model-2d-linear-weight": ["attribute", "--method", "saliency", "--model", "{lin2d}"],
     "model-head-ignored-setting": ["attribute", "--method", "saliency", "--model", "{badhead}"],
     "attribute-out-dir-missing": ["attribute", "--method", "saliency", "--out", "{missing}"],
     "verify-out-dir-missing": ["verify", "--out", "{missing}"],
@@ -231,6 +229,8 @@ MISUSE = {
     "train-toy-hidden-not-int": ["train-toy", "--hidden", "abc"],
     "train-toy-hidden-0": ["train-toy", "--hidden", "0"],
     "train-toy-epochs-0": ["train-toy", "--epochs", "0"],
+    "train-toy-lr-negative": ["train-toy", "--lr", "-0.5"],
+    "train-toy-lr-0": ["train-toy", "--lr", "0"],
     "train-toy-nan-cell": ["train-toy", "--input", "{nancsv}"],
     "model-nan-weight": ["verify", "--model", "{nanweight}"],
     "verify-out-missing": ["verify", NO_OUT],
@@ -243,6 +243,7 @@ MISUSE = {
 def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     doc = fg.model_to_json(fg.linear_model([3.0, 4.0]))
     (tmp_path / "baddim.json").write_text(json.dumps({**doc, "dim": 5}))
+    (tmp_path / "lin2d.json").write_text(json.dumps({**doc, "params": {"a": [[3.0, 4.0]], "b": 0.0}}))
     badhead = {"type": "identity", "logit": True, "target": 9}
     (tmp_path / "badhead.json").write_text(json.dumps({**doc, "head": badhead}))
     (tmp_path / "nanweight.json").write_text(json.dumps({**doc, "params": {"a": [np.nan, 1.0], "b": 0.0}}))
@@ -252,8 +253,9 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     out = tmp_path / "out"
     out.mkdir()
     argv = [a.format(baddim=tmp_path / "baddim.json", badhead=tmp_path / "badhead.json",
-                     nanweight=tmp_path / "nanweight.json", nancsv=tmp_path / "nan.csv",
-                     missing=out / "missing" / "o", huge=fixtures / "huge2.txt") for a in argv]
+                     lin2d=tmp_path / "lin2d.json", nanweight=tmp_path / "nanweight.json",
+                     nancsv=tmp_path / "nan.csv", missing=out / "missing" / "o",
+                     huge=fixtures / "huge2.txt") for a in argv]
     model = ["--model", str(fixtures / "linear.json")]
     defaults = {
         "attribute": [*model, "--input", str(fixtures / "origin2.txt")],
@@ -316,7 +318,7 @@ def test_eval_method_options_set_every_selected_method_that_takes_them():
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, fluxgrad.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -324,7 +326,7 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_thread_pool_or_logging():
     code = ("import sys, fluxgrad.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 

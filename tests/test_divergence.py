@@ -162,3 +162,12 @@ class TestTheoremReport:
         report = fg.divergence_theorem_report(m, SphereSpec(np.zeros(1), 1.0), 100, seed=0)
         doc = report.to_json()
         assert set(doc) == {"lhs", "rhs", "diff", "stderr", "pass", "samples"}
+
+    @pytest.mark.parametrize("surface, se, passed", [
+        (90.0, 4.0, True), (90.0, 3.0, False),  # |diff| 10 against 3 standard errors
+        (98.5, 0.0, True), (97.5, 0.0, False),  # |diff| 1.5 or 2.5 against 2% of 100
+    ])
+    def test_verdict_is_the_looser_of_3_standard_errors_and_2_percent(self, surface, se, passed):
+        report = fg.DivergenceTheoremReport(100.0, surface, se, 10)
+        assert report.difference == report.volume_integral - surface
+        assert report.passed is passed and report.to_json()["pass"] is passed

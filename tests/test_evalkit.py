@@ -16,6 +16,14 @@ def constant_model(c, dim=2):
 
 
 class TestCurves:
+    def test_fractions_and_auc_come_from_the_scores(self):
+        curve = fg.EvalCurve([1.0, 0.5, 0.0, 0.5])
+        assert np.array_equal(curve.fractions, [0.0, 1 / 3, 2 / 3, 1.0])
+        assert curve.auc == pytest.approx(1.25 / 3)
+        for bad in ([1.0], [], [[1.0, 0.5]]):
+            with pytest.raises(ValueError, match="at least 2 points"):
+                fg.EvalCurve(bad)
+
     def test_constant_model_flat_curves(self):
         m = constant_model(0.7)
         att = AttributionMap([1.0, -1.0], "x")
@@ -412,6 +420,13 @@ UNKNOWN_PARAMS = [(name, "bogus") for name in evalkit.METHODS] + [("taylor", "n_
 def test_unknown_parameter_is_a_value_error_naming_it(name, key):
     with pytest.raises(ValueError, match=f"unknown {name} parameter.*{key}"):
         make_method(name, **{key: 1})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, key", [("neflag", "epsilon"), ("taylor", "epsilon"), ("smoothgrad", "sigma")])
+def test_a_non_finite_setting_is_a_value_error(name, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be .*finite"):
+        make_method(name, **{key: value})
 
 
 class TestAttributionFiles:

@@ -103,6 +103,10 @@ def _model_zoo():
         fg.random_mlp(3, hidden=(6,), activation="softplus", seed=5),
         fg.random_mlp(3, hidden=(6,), activation="tanh", seed=5,
                       head=fg.Head("sigmoid")),
+        fg.random_mlp(3, hidden=(6,), out_dim=3, activation="tanh", seed=5,
+                      head=fg.Head("softmax", target=1)),
+        fg.random_mlp(3, hidden=(6,), out_dim=3, activation="softplus", seed=5,
+                      head=fg.Head("softmax", target=2, use_logit=True)),
     ]
 
 
@@ -177,6 +181,12 @@ class TestFitToyModel:
         X, y = fg.blob_dataset(20, seed=1)
         with pytest.raises(ValueError, match="epochs"):
             fg.fit_toy_model(X, y, epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.5, np.nan, np.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        X, y = fg.blob_dataset(20, seed=1)
+        with pytest.raises(ValueError, match="learning_rate"):
+            fg.fit_toy_model(X, y, epochs=1, learning_rate=lr)
 
 
 class TestSerialization:
@@ -256,6 +266,20 @@ class TestNumpyHelpers:
         assert len(calls) == 1
 
 
+def test_dim_is_the_input_length_the_parameters_fix():
+    models = {
+        2: fg.linear_model([1.0, 2.0]),
+        3: fg.quadratic_model([1.0, 2.0, 3.0]),
+        4: fg.gauss_mixture_model([1.0, 2.0], np.zeros((2, 4)), [1.0, 1.0]),
+        5: fg.mlp_model([fg.Layer(np.ones((3, 5)), np.zeros(3), "tanh"), fg.Layer(np.ones((1, 3)), [0.0])]),
+        1: fg.Model("linear", ([7.0], 0.5)),
+    }
+    for dim, model in models.items():
+        assert model.dim == dim and fg.model_from_json(fg.model_to_json(model)).dim == dim
+    with pytest.raises(TypeError):
+        fg.Model("linear", 2, ([1.0, 2.0], 0.0))  # dim is not an argument
+
+
 def test_model_from_json_rejects_contradictory_dim():
     doc = fg.model_to_json(fg.linear_model([1.0, 2.0]))
     assert fg.model_from_json(doc).dim == 2
@@ -306,8 +330,14 @@ def test_stored_arrays_are_read_only_copies_of_the_callers():
     assert all(np.array_equal(s, old) for s, old in zip(stored, before))
 
 
-def _doc(kind, dim=None, **params):
-    return {"kind": kind, "params": params, **({} if dim is None else {"dim": dim})}
+def _doc(kind, dim=None, head=None, **params):
+    return {"kind": kind, "params": params, **({} if dim is None else {"dim": dim}),
+            **({} if head is None else {"head": head})}
+
+
+def _mlp_doc(out_dim, head):
+    return _doc("mlp", head=head, layers=[{"W": [[1.0, 1.0]] * out_dim, "b": [0.0] * out_dim,
+                                           "activation": "identity"}])
 
 
 _W32 = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -341,20 +371,21 @@ BAD_MODELS = {
         lambda: fg.mlp_model([fg.Layer([[1.0, 1.0]], [0.0], "sigmoid")]),
         _doc("mlp", layers=[{"W": [[1.0, 1.0]], "b": [0.0], "activation": "sigmoid"}]),
         "unknown activation 'sigmoid'"),
+    # a constructor takes no dim, so only a file can contradict the parameters
     "mlp-dim": (
-        lambda: fg.Model("mlp", 3, (fg.Layer([[1.0, 1.0]], [0.0]),)),
+        None,
         _doc("mlp", 3, layers=[{"W": [[1.0, 1.0]], "b": [0.0], "activation": "identity"}]),
         "dim 3 does not match the parameters' 2 inputs"),
     "linear-dim": (
-        lambda: fg.Model("linear", 3, (np.array([1.0, 2.0]), 0.0)),
+        None,
         _doc("linear", 3, a=[1.0, 2.0]),
         "dim 3 does not match the parameters' 2 inputs"),
     "quadratic-dim": (
-        lambda: fg.Model("quadratic", 1, ([1.0, 2.0], [0.0, 0.0])),
+        None,
         _doc("quadratic", 1, **{"lambda": [1.0, 2.0], "c": [0.0, 0.0]}),
         "dim 1 does not match the parameters' 2 inputs"),
     "gauss-dim": (
-        lambda: fg.Model("gauss-mixture", 2, ([1.0], [[0.0, 0.0, 0.0]], [1.0])),
+        None,
         _doc("gauss-mixture", 2, components=[{"weight": 1.0, "center": [0.0] * 3, "sigma": 1.0}]),
         "dim 2 does not match the parameters' 3 inputs"),
     "linear-nan-weight": (
@@ -377,13 +408,70 @@ BAD_MODELS = {
         lambda: fg.mlp_model([fg.Layer([[1.0, 1.0]], [np.nan])]),
         _doc("mlp", layers=[{"W": [[1.0, 1.0]], "b": [np.nan], "activation": "identity"}]),
         "model parameters must be finite"),
+    "linear-2d-weight": (
+        lambda: fg.linear_model([[3.0, 4.0]]),
+        _doc("linear", a=[[3.0, 4.0]]),
+        "linear parameters have the wrong number of axes"),
+    "linear-vector-offset": (
+        lambda: fg.linear_model([3.0, 4.0], b=[0.5]),
+        _doc("linear", a=[3.0, 4.0], b=[0.5]),
+        "linear parameters have the wrong number of axes"),
+    "quadratic-2d-lambda": (
+        lambda: fg.quadratic_model([[1.0, 2.0]]),
+        _doc("quadratic", **{"lambda": [[1.0, 2.0]], "c": [[0.0, 0.0]]}),
+        "quadratic parameters have the wrong number of axes"),
+    "gauss-2d-weights": (
+        lambda: fg.gauss_mixture_model([[1.0]], [[0.0, 0.0]], [1.0]),
+        _doc("gauss-mixture", components=[{"weight": [1.0], "center": [0.0, 0.0], "sigma": 1.0}]),
+        "gauss-mixture parameters have the wrong number of axes"),
+    "gauss-2d-sigmas": (
+        lambda: fg.gauss_mixture_model([1.0], [[0.0, 0.0]], [[1.0]]),
+        _doc("gauss-mixture", components=[{"weight": 1.0, "center": [0.0, 0.0], "sigma": [1.0]}]),
+        "gauss-mixture parameters have the wrong number of axes"),
+    "gauss-3d-centers": (
+        lambda: fg.gauss_mixture_model([1.0], [[[0.0, 0.0]]], [1.0]),
+        _doc("gauss-mixture", components=[{"weight": 1.0, "center": [[0.0, 0.0]], "sigma": 1.0}]),
+        "gauss-mixture parameters have the wrong number of axes"),
+    "mlp-3d-weight": (
+        lambda: fg.mlp_model([fg.Layer([[[1.0, 1.0]]], [0.0])]),
+        _doc("mlp", layers=[{"W": [[[1.0, 1.0]]], "b": [0.0], "activation": "identity"}]),
+        "mlp parameters have the wrong number of axes"),
+    "mlp-2d-bias": (
+        lambda: fg.mlp_model([fg.Layer([[1.0, 1.0]], [[0.0]])]),
+        _doc("mlp", layers=[{"W": [[1.0, 1.0]], "b": [[0.0]], "activation": "identity"}]),
+        "mlp parameters have the wrong number of axes"),
+    "head-unknown-type": (
+        lambda: fg.linear_model([1.0, 1.0], head=fg.Head("tanh")),
+        _doc("linear", head={"type": "tanh"}, a=[1.0, 1.0]),
+        "unknown head type 'tanh'"),
+    "head-softmax-without-target": (
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax")),
+        _mlp_doc(3, {"type": "softmax"}),
+        "softmax head requires a target index"),
+    "softmax-single-logit": (
+        lambda: fg.random_mlp(2, head=fg.Head("softmax", target=0)),
+        _mlp_doc(1, {"type": "softmax", "target": 0}),
+        "softmax head requires an mlp with >= 2 logits"),
+    "softmax-on-linear": (
+        lambda: fg.linear_model([1.0, 1.0], head=fg.Head("softmax", target=0)),
+        _doc("linear", head={"type": "softmax", "target": 0}, a=[1.0, 1.0]),
+        "softmax head requires an mlp with >= 2 logits"),
+    "softmax-target-out-of-range": (
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=3)),
+        _mlp_doc(3, {"type": "softmax", "target": 3}),
+        "softmax target out of range"),
+    "sigmoid-many-outputs": (
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("sigmoid")),
+        _mlp_doc(3, {"type": "sigmoid"}),
+        "sigmoid head requires a single raw output"),
 }
 
 
 @pytest.mark.parametrize("build, doc, message", BAD_MODELS.values(), ids=BAD_MODELS.keys())
 def test_every_model_check_holds_for_constructors_and_files(build, doc, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        build()
+    if build is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
     if doc is not None:
         with pytest.raises(ValueError, match=re.escape(message)):
             fg.model_from_json(json.loads(json.dumps(doc)))  # NaN and Infinity as a file has them

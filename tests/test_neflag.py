@@ -30,6 +30,11 @@ class TestSampleSphere:
         with pytest.raises(ValueError):
             SphereSpec(np.zeros(2), 0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_radius_must_be_finite(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            SphereSpec(np.zeros(2), radius)
+
 
 class TestFluxAt:
     def test_linear_outward_flux(self):
@@ -52,6 +57,10 @@ class TestFluxAt:
         p = fg.flux_at(m, SphereSpec(np.zeros(2), 0.1), [0.1, 0.0])
         assert p.flux == pytest.approx(0.1)
         assert p.approx_flux == pytest.approx(0.05)
+
+    def test_flux_is_the_gradient_along_the_normal(self):
+        p = fg.FluxPoint(np.array([0.6, 0.8]), np.array([2.0, -1.0]), np.array([0.6, 0.8]), 0.0)
+        assert p.flux == pytest.approx(0.4) and not p.is_negative
 
     def test_off_sphere_point_rejected(self):
         m = fg.linear_model([1.0, 0.0])
