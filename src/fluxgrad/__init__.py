@@ -53,6 +53,7 @@ from .models import (
     gauss_mixture_model,
     gradient,
     gradient_batch,
+    laplacian_batch,
     linear_model,
     load_model,
     mlp_model,

@@ -16,7 +16,8 @@ explained quantity; the pre-softmax logit can be selected instead.
 All models are immutable after construction and safe to share across
 threads.  Evaluation and gradients are vectorized internally; the public
 ``evaluate`` / ``gradient`` functions work on single points, and the
-``evaluate_batch`` / ``gradient_batch`` variants on (n, N) arrays.
+``evaluate_batch`` / ``gradient_batch`` variants on (n, N) arrays, as does
+``laplacian_batch``, the exact Laplacian of a smooth model's output.
 """
 
 import json
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput, NotSmooth
 
 ACTIVATIONS = ("relu", "tanh", "softplus", "identity")
 HEADS = ("identity", "sigmoid", "softmax")
@@ -68,6 +69,17 @@ def _act_deriv(name, z):
     return np.ones_like(z)
 
 
+def _act_derivs(name, a):
+    """First and second derivatives of a smooth activation, from its output ``a``."""
+    if name == "tanh":
+        d = 1.0 - a * a
+        return d, -2.0 * a * d
+    if name == "softplus":  # expit(z) = 1 - e^-a
+        d = -np.expm1(-a)
+        return d, d * (1.0 - d)
+    return 1.0, 0.0
+
+
 def _readonly(a):
     """A read-only C-ordered float copy of a; the caller's array stays writeable."""
     a = np.array(a, dtype=float, order="C")
@@ -92,6 +104,10 @@ class Head:
             raise ValueError(f"unknown head type {self.type!r}")
         if self.type == "softmax" and self.target is None:
             raise ValueError("softmax head requires a target index")
+        if self.type == "softmax":
+            if isinstance(self.target, bool) or not isinstance(self.target, (int, np.integer)):
+                raise ValueError(f"softmax target must be an integer, got {self.target!r}")
+            object.__setattr__(self, "target", int(self.target))  # a numpy integer too, which a model file cannot hold
         if self.type != "softmax" and (self.target is not None or self.use_logit):
             raise ValueError(f"{self.type} head takes no target or logit setting")
 
@@ -193,6 +209,11 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # evaluation and gradients
+
+
+def _require_smooth(model: Model):
+    if model.uses_relu:
+        raise NotSmooth("field not continuously differentiable (relu activation)")
 
 
 def _check_input(model: Model, x) -> np.ndarray:
@@ -379,6 +400,66 @@ def gradient_batch(model: Model, xs) -> np.ndarray:
         cot = -pt[:, None] * probs
         cot[:, h.target] += pt
     return _raw_grad_batch(model, xs, pre, cot)
+
+
+def _mlp_laplacian(layers, xs):
+    """Raw (n, K) output of an mlp, its Laplacian, and the (n, K, K) Gram matrix of its input gradients.
+
+    The forward Laplacian of Li et al. (arXiv 2307.08214): a layer's is s'(z) * (W @ the previous layer's)
+    + s''(z) * |grad z|^2, with one input direction's tangents at a time, so no (n, width, N) Jacobian is held.
+    """
+    a, slopes = xs, []
+    for layer in layers:
+        a = _act(layer.activation, a @ layer.weight.T + layer.bias)
+        slopes.append(_act_derivs(layer.activation, a))
+    w1 = layers[0].weight
+    sq = [np.sum(w1 * w1, axis=1)] + [0.0] * (len(layers) - 1)  # |grad z|^2, the same on every row for z1
+    gram = np.zeros((len(xs), a.shape[1], a.shape[1]))
+    for i in range(w1.shape[1]):
+        t = slopes[0][0] * w1[:, i]
+        for k, layer in enumerate(layers[1:], 1):
+            t = t @ layer.weight.T
+            if layer.activation != "identity":
+                sq[k] = sq[k] + t * t
+                t = slopes[k][0] * t
+        gram += t[..., :, None] * t[..., None, :]
+    lap = slopes[0][1] * sq[0]
+    for layer, (d1, d2), s in zip(layers[1:], slopes[1:], sq[1:]):
+        lap = d1 * (lap @ layer.weight.T) + d2 * s
+    return a, lap + np.zeros_like(a), gram  # lap is one (K,) row for a net of identity layers
+
+
+def laplacian_batch(model: Model, xs) -> np.ndarray:
+    """Laplacian (the trace of the Hessian) of the headed output at every row of xs; shape (n,).
+
+    Exact: closed forms, or the forward Laplacian of an mlp, then the head's chain
+    rule g'(raw) . Laplacian + sum_kl g''_kl (grad raw_k . grad raw_l).
+    """
+    _require_smooth(model)
+    xs = _check_batch(model, xs)
+    if model.kind == "mlp":
+        raw, lap, gram = _mlp_laplacian(model.params, xs)
+    else:
+        s = _first_stage(model, xs)
+        raw = _rest(model, s)[0]
+        gram = np.sum(_raw_grad_batch(model, xs, None, np.ones_like(raw)) ** 2, axis=1)[:, None, None]
+        if model.kind == "linear":
+            lap = np.zeros_like(raw)
+        elif model.kind == "quadratic":
+            lap = np.full_like(raw, np.sum(model.params[0]))
+        else:  # sum_j w_j e^(-r^2 / 2 sigma^2) (r^2 / sigma^4 - N / sigma^2), with r^2 = s_j
+            w, _, sig = model.params
+            lap = np.sum(w * np.exp(-s / (2.0 * sig**2)) * (s / sig**4 - model.dim / sig**2), axis=1, keepdims=True)
+    h = model.head
+    if h.type == "identity" or h.use_logit:
+        return lap[:, h.target or 0]
+    if h.type == "sigmoid":
+        p = expit(raw[:, 0])
+        return p * (1.0 - p) * (lap[:, 0] + (1.0 - 2.0 * p) * gram[:, 0, 0])
+    p = softmax(raw)
+    u = np.eye(p.shape[1])[h.target] - p
+    quad_u, quad_p = (np.einsum("nk,nkl,nl->n", v, gram, v) for v in (u, p))
+    return p[:, h.target] * (np.sum(u * lap, axis=1) + quad_u - np.einsum("nkk,nk->n", gram, p) + quad_p)
 
 
 def evaluate(model: Model, x) -> float:

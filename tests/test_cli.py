@@ -121,6 +121,15 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert abs(doc["lhs"]) < 1e-8 and doc["pass"] is True
 
+    def test_zero_field_passes(self, tmp_path):
+        # both sides are exactly 0 with no standard error: an exact agreement
+        fg.save_model(fg.quadratic_model([0.0, 0.0]), tmp_path / "flat.json")
+        out = tmp_path / "report.json"
+        res = run_cli("verify", "--model", str(tmp_path / "flat.json"), "--samples", "1000", "--out", str(out))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert res.stdout.startswith("PASS: lhs=0 rhs=0 diff=0 stderr=0")
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_relu_model_rejected(self, fixtures, tmp_path):
         res = run_cli(
             "verify", "--model", str(fixtures / "relu.json"),
@@ -222,6 +231,7 @@ MISUSE = {
     "model-dim-contradicts-params": ["attribute", "--method", "saliency", "--model", "{baddim}"],
     "model-2d-linear-weight": ["attribute", "--method", "saliency", "--model", "{lin2d}"],
     "model-head-ignored-setting": ["attribute", "--method", "saliency", "--model", "{badhead}"],
+    "model-softmax-target-not-int": ["attribute", "--method", "saliency", "--model", "{fractarget}"],
     "attribute-out-dir-missing": ["attribute", "--method", "saliency", "--out", "{missing}"],
     "verify-out-dir-missing": ["verify", "--out", "{missing}"],
     "eval-out-dir-missing": ["eval", "--methods", "saliency", "--out", "{missing}"],
@@ -246,6 +256,8 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     (tmp_path / "lin2d.json").write_text(json.dumps({**doc, "params": {"a": [[3.0, 4.0]], "b": 0.0}}))
     badhead = {"type": "identity", "logit": True, "target": 9}
     (tmp_path / "badhead.json").write_text(json.dumps({**doc, "head": badhead}))
+    softmax = fg.model_to_json(fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=1)))
+    (tmp_path / "fractarget.json").write_text(json.dumps({**softmax, "head": {"type": "softmax", "target": 1.5}}))
     (tmp_path / "nanweight.json").write_text(json.dumps({**doc, "params": {"a": [np.nan, 1.0], "b": 0.0}}))
     X, y = fg.blob_dataset(20, seed=3)
     X[4, 1] = np.nan
@@ -253,6 +265,7 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     out = tmp_path / "out"
     out.mkdir()
     argv = [a.format(baddim=tmp_path / "baddim.json", badhead=tmp_path / "badhead.json",
+                     fractarget=tmp_path / "fractarget.json",
                      lin2d=tmp_path / "lin2d.json", nanweight=tmp_path / "nanweight.json",
                      nancsv=tmp_path / "nan.csv", missing=out / "missing" / "o",
                      huge=fixtures / "huge2.txt") for a in argv]

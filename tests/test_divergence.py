@@ -171,3 +171,76 @@ class TestTheoremReport:
         report = fg.DivergenceTheoremReport(100.0, surface, se, 10)
         assert report.difference == report.volume_integral - surface
         assert report.passed is passed and report.to_json()["pass"] is passed
+
+
+def _laplacian_zoo():
+    """Every kind, every head and every smooth activation, with one and two hidden layers."""
+    heads = {"identity": (1, fg.Head()), "sigmoid": (1, fg.Head("sigmoid")),
+             "softmax": (3, fg.Head("softmax", target=1)), "logit": (3, fg.Head("softmax", target=2, use_logit=True))}
+    zoo = {
+        "linear": fg.linear_model([1.0, -2.0, 0.5], 0.3),
+        "linear-sigmoid": fg.linear_model([1.0, -2.0, 0.5], 0.3, head=fg.Head("sigmoid")),
+        "quadratic": fg.quadratic_model([1.0, 2.0, -3.0], [0.1, 0.2, 0.3]),
+        "quadratic-sigmoid": fg.quadratic_model([1.0, 2.0, -3.0], head=fg.Head("sigmoid")),
+        "gauss": fg.gauss_mixture_model([1.0, -0.5], [[0.0, 0.0, 0.0], [0.5, 0.1, -0.2]], [0.7, 1.3]),
+        "gauss-sigmoid": fg.gauss_bump(3, center=[0.2, 0.0, -0.1], sigma=0.8, head=fg.Head("sigmoid")),
+    }
+    for act in ("tanh", "softplus", "identity"):
+        for hidden in ((6,), (5, 4)):
+            for name, (k, head) in heads.items():
+                zoo[f"mlp-{act}-{len(hidden)}-{name}"] = fg.random_mlp(
+                    3, hidden=hidden, out_dim=k, activation=act, seed=len(zoo), head=head)
+    rng = np.random.default_rng(0)
+    layers = [fg.Layer(rng.standard_normal((4, 3)), rng.standard_normal(4), "tanh"),
+              fg.Layer(rng.standard_normal((2, 4)), rng.standard_normal(2), "softplus")]
+    zoo["mlp-nonlinear-output"] = fg.mlp_model(layers, head=fg.Head("softmax", target=0))
+    zoo["mlp-one-identity-layer"] = fg.mlp_model([fg.Layer([[1.0, -2.0, 0.5]], [0.1])], head=fg.Head("sigmoid"))
+    return zoo
+
+
+LAPLACIAN_ZOO = _laplacian_zoo()
+
+
+class TestLaplacianBatch:
+    @pytest.mark.parametrize("model", LAPLACIAN_ZOO.values(), ids=LAPLACIAN_ZOO.keys())
+    def test_matches_the_finite_difference_oracle(self, model):
+        # divergence_fd's central differences of the gradient have O(h^2) truncation error at
+        # h = 1e-4, 1e-8 times a fourth derivative: 100 h^2 leaves room for these models' sizes
+        xs = np.random.default_rng(1).normal(scale=0.8, size=(6, 3))
+        got = fg.laplacian_batch(model, xs)
+        assert got.shape == (6,)
+        want = [fg.divergence_fd(model, x) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0, atol=100 * 1e-4**2)
+
+    def test_closed_forms(self):
+        xs = np.random.default_rng(2).standard_normal((4, 3))
+        assert np.array_equal(fg.laplacian_batch(fg.linear_model([1.0, 2.0, 3.0]), xs), np.zeros(4))
+        assert np.array_equal(fg.laplacian_batch(fg.quadratic_model([1.0, 2.0, -4.0]), xs), np.full(4, -1.0))
+        # a bump's Laplacian is -N / sigma^2 at its peak
+        assert fg.laplacian_batch(fg.gauss_bump(3, sigma=0.5), np.zeros((1, 3)))[0] == pytest.approx(-12.0)
+
+    def test_relu_is_not_smooth(self):
+        model = fg.random_mlp(2, hidden=(4,), activation="relu", seed=0)
+        sphere = SphereSpec(np.zeros(2), 0.5)
+        for call in (lambda: fg.laplacian_batch(model, np.zeros((1, 2))),
+                     lambda: fg.volume_divergence_integral(model, sphere, 100),
+                     lambda: fg.divergence_theorem_report(model, sphere, 100)):
+            with pytest.raises(fg.NotSmooth, match="continuously differentiable"):
+                call()
+
+
+def test_report_checks_the_gradient(monkeypatch):
+    # The volume side no longer goes through gradient_batch, so a gradient 10% too large fails the report.
+    model = fg.random_mlp(3, hidden=(6,), activation="softplus", seed=5)
+    sphere = SphereSpec(np.array([0.2, 0.1, -0.3]), 0.5)
+    assert fg.divergence_theorem_report(model, sphere, 20000, seed=1).passed
+    exact = fg.divergence.gradient_batch
+    monkeypatch.setattr(fg.divergence, "gradient_batch", lambda m, xs: 1.1 * exact(m, xs))
+    assert not fg.divergence_theorem_report(model, sphere, 20000, seed=1).passed
+
+
+def test_exactly_zero_report_passes():
+    assert fg.DivergenceTheoremReport(0.0, 0.0, 0.0, 10).passed
+    report = fg.divergence_theorem_report(fg.quadratic_model([0.0, 0.0]), SphereSpec(np.zeros(2), 1.0), 1000)
+    assert report.volume_integral == report.surface_integral == report.combined_standard_error == 0.0
+    assert report.passed

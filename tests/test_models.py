@@ -107,6 +107,9 @@ def _model_zoo():
                       head=fg.Head("softmax", target=1)),
         fg.random_mlp(3, hidden=(6,), out_dim=3, activation="softplus", seed=5,
                       head=fg.Head("softmax", target=2, use_logit=True)),
+        # a numpy target is kept as a plain int, so that the model file can hold it
+        fg.random_mlp(3, hidden=(6,), out_dim=3, activation="tanh", seed=6,
+                      head=fg.Head("softmax", target=np.int64(0))),
     ]
 
 
@@ -460,6 +463,14 @@ BAD_MODELS = {
         lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=3)),
         _mlp_doc(3, {"type": "softmax", "target": 3}),
         "softmax target out of range"),
+    "softmax-target-not-integer": (
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=1.5)),
+        _mlp_doc(3, {"type": "softmax", "target": 1.5}),
+        "softmax target must be an integer, got 1.5"),
+    "softmax-target-bool": (
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=True)),
+        _mlp_doc(3, {"type": "softmax", "target": True}),
+        "softmax target must be an integer, got True"),
     "sigmoid-many-outputs": (
         lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("sigmoid")),
         _mlp_doc(3, {"type": "sigmoid"}),
