@@ -4,7 +4,10 @@ The volume side integrates the exact Laplacian, from a forward-mode pass
 (:func:`~fluxgrad.models.laplacian_batch`), and the surface side the flux of
 the reverse-mode gradient, dot-product or element-wise, optionally over a
 flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
-differences remain only in :func:`divergence_fd`, the test oracle.
+differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
+pass their points to the model in row blocks (``models._row_blocks``) of at
+most 128 KiB of (rows x N) gradients, or of (rows x width) at an mlp's widest
+layer; a gauss-mixture's (rows x C x N) gradient terms are C times that.
 """
 
 import json
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ball_points, ball_volume, sphere_area, sphere_directions
-from .models import Model, _require_smooth, gradient_batch, laplacian_batch
+from .models import Model, _require_smooth, _row_blocks, gradient_batch, laplacian_batch
 from .neflag import SphereSpec
 
 SUBSETS = ("all", "negative", "positive")
@@ -70,7 +73,8 @@ def volume_divergence_integral(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pts = ball_points(rng, samples, ball.center, ball.radius)
-    return _estimate(laplacian_batch(model, pts), ball_volume(ball.dim, ball.radius))
+    lap = np.concatenate([laplacian_batch(model, pts[rows]) for rows in _row_blocks(model, samples, model.dim)])
+    return _estimate(lap, ball_volume(ball.dim, ball.radius))
 
 
 def surface_flux_integral(
@@ -97,7 +101,7 @@ def surface_flux_integral(
     rng = np.random.default_rng(seed)
     normals = sphere_directions(rng, samples, sphere.dim)
     pts = sphere.center + sphere.radius * normals
-    grads = gradient_batch(model, pts)
+    grads = np.concatenate([gradient_batch(model, pts[rows]) for rows in _row_blocks(model, samples, model.dim)])
     flux = np.einsum("ij,ij->i", grads, normals)
     if subset == "negative":
         mask = flux < 0.0

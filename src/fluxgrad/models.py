@@ -30,6 +30,7 @@ from .errors import DimensionMismatch, NonFiniteInput, NotSmooth
 ACTIVATIONS = ("relu", "tanh", "softplus", "identity")
 HEADS = ("identity", "sigmoid", "softmax")
 KINDS = ("linear", "quadratic", "gauss-mixture", "mlp")
+_BLOCK_BYTES = 128 * 1024  # a large batch runs in row blocks whose (rows x width) floats fit here
 
 
 def expit(z):
@@ -59,11 +60,11 @@ def _act(name, z):
     return z
 
 
-def _act_deriv(name, z):
+def _act_deriv(name, z, a):  # a is the activation's output at z
     if name == "relu":
         return (z > 0.0).astype(float)
     if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
+        return 1.0 - a * a
     if name == "softplus":
         return expit(z)
     return np.ones_like(z)
@@ -236,32 +237,33 @@ def _check_batch(model: Model, xs) -> np.ndarray:
 
 
 def _mlp_forward(layers, xs):
-    """Forward pass through the layers; returns logits and per-layer pre-activations."""
+    """Forward pass through the layers; returns per-layer activations, the logits last, and pre-activations."""
     return _mlp_from_first(layers, xs @ layers[0].weight.T)
 
 
 def _mlp_from_first(layers, s):
     """:func:`_mlp_forward` from the first layer's weighted inputs ``s = xs @ W1.T``."""
-    pre, a = [], None
+    post, pre = [], []
     for layer in layers:
         # drop s once used: holding a large array alive slows later allocations
-        z, s = (s if a is None else a @ layer.weight.T) + layer.bias, None
+        z, s = (s if not post else post[-1] @ layer.weight.T) + layer.bias, None
         pre.append(z)
-        a = _act(layer.activation, z)
-    return a, pre
+        post.append(_act(layer.activation, z))
+    return post, pre
 
 
-def _mlp_backward(layers, pre, cotangent):
-    """Backpropagate a (n, K) cotangent on the logits of :func:`_mlp_forward`.
+def _mlp_backward(layers, forward, cotangent):
+    """Backpropagate a (n, K) cotangent on the logits of ``forward``, a :func:`_mlp_forward` result.
 
     Returns the cotangent on the inputs and, first layer first, the one on
     each layer's pre-activations, ``dz``.  A layer's weight gradient is
     ``dz.T @ layer_input`` and its bias gradient ``dz.sum(axis=0)``.
     """
+    post, pre = forward
     dzs = []
     delta = cotangent
-    for layer, z in zip(reversed(layers), reversed(pre)):
-        dz = delta * _act_deriv(layer.activation, z)
+    for layer, z, a in zip(reversed(layers), reversed(pre), reversed(post)):
+        dz = delta * _act_deriv(layer.activation, z, a)
         dzs.append(dz)
         delta = dz @ layer.weight
     return delta, dzs[::-1]
@@ -301,10 +303,11 @@ def _feature_terms(model: Model, v):
 
 
 def _rest(model: Model, s):
-    """Raw (n, K) output from first stages s, plus the pre-activations of an mlp."""
+    """Raw (n, K) output from first stages s, plus the forward pass of an mlp."""
     p = model.params
     if model.kind == "mlp":
-        return _mlp_from_first(p, s)
+        post, pre = _mlp_from_first(p, s)
+        return post[-1], (post, pre)
     if model.kind == "linear":
         raw = s[:, 0] + p[1]
     elif model.kind == "quadratic":
@@ -316,17 +319,18 @@ def _rest(model: Model, s):
 
 
 def _raw_batch(model: Model, xs):
-    """Raw (n, K) output before the head, plus the pre-activations of an mlp."""
+    """Raw (n, K) output before the head, plus the forward pass of an mlp."""
     if model.kind == "mlp":
-        return _mlp_forward(model.params, xs)
+        post, pre = _mlp_forward(model.params, xs)
+        return post[-1], (post, pre)
     return _rest(model, _first_stage(model, xs))
 
 
-def _raw_grad_batch(model: Model, xs, pre, cotangent):
+def _raw_grad_batch(model: Model, xs, forward, cotangent):
     """Gradient of (cotangent . raw output) w.r.t. the inputs, per row."""
     p = model.params
     if model.kind == "mlp":
-        return _mlp_backward(p, pre, cotangent)[0]
+        return _mlp_backward(p, forward, cotangent)[0]
     scale = cotangent[:, 0][:, None]
     if model.kind == "linear":
         return scale * p[0]
@@ -352,8 +356,16 @@ def path_change(model: Model, start, target):
     return _first_stage(model, start), _first_stage(model, target), change
 
 
-def path_scores(model: Model, path, order) -> list:
-    """Output after the head along the path that moves start to target, and along the reverse.
+def _row_blocks(model: Model, n: int, width: int) -> list:
+    """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES; an mlp's width is its widest layer."""
+    if model.kind == "mlp":
+        width = max(layer.weight.shape[0] for layer in model.params)
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+def path_scores(model: Model, path, order) -> np.ndarray:
+    """Output after the head along the path that moves start to target, and along the reverse; shape (2, N - 1).
 
     ``path`` is :func:`path_change` of (start, target).  Point k is ``start``
     with the features ``order[:k]`` taken from ``target``, or the reverse, and
@@ -362,11 +374,19 @@ def path_scores(model: Model, path, order) -> list:
     it, or s(target) minus it, which is exactly s(target) plus the running sum
     of the negated change.  O(N m) work in place of an (N + 1, N) row matrix,
     so point k matches ``evaluate_batch`` of its row within rounding; the ends
-    k = 0 and N are left out, to be evaluated exactly."""
+    k = 0 and N are left out, to be evaluated exactly.  The points go in row
+    blocks (:func:`_row_blocks`), each block's running sum starting from the
+    last one's, so the sum makes the same additions as one ``cumsum``.  A
+    block's widest array is an (rows x m) first stage, or an mlp's layer."""
     s_start, s_target, change = path
-    moved = np.cumsum(change[order[:-1]], axis=0)
-    return [_headed(model, _rest(model, s_start + moved if forward else s_target - moved)[0])
-            for forward in (True, False)]
+    scores, carry = np.empty((2, len(order) - 1)), -0.0  # -0.0 + x is x, a signed zero too
+    for rows in _row_blocks(model, len(order) - 1, change.shape[1]):
+        moved = change[order[rows]]
+        moved[0] += carry
+        carry = np.cumsum(moved, axis=0, out=moved)[-1]
+        scores[0, rows] = _headed(model, _rest(model, s_start + moved)[0])
+        scores[1, rows] = _headed(model, _rest(model, s_target - moved)[0])
+    return scores
 
 
 def _headed(model: Model, raw):
@@ -384,7 +404,7 @@ def _headed(model: Model, raw):
 def gradient_batch(model: Model, xs) -> np.ndarray:
     """Gradient of the headed output for every row of xs; shape (n, N)."""
     xs = _check_batch(model, xs)
-    raw, pre = _raw_batch(model, xs)
+    raw, forward = _raw_batch(model, xs)
     h = model.head
     if h.type == "identity":
         cot = np.ones_like(raw)
@@ -399,7 +419,7 @@ def gradient_batch(model: Model, xs) -> np.ndarray:
         pt = probs[:, h.target]
         cot = -pt[:, None] * probs
         cot[:, h.target] += pt
-    return _raw_grad_batch(model, xs, pre, cot)
+    return _raw_grad_batch(model, xs, forward, cot)
 
 
 def _mlp_laplacian(layers, xs):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (Head, Layer, Model, _act, _mlp_backward, _mlp_forward, _raw_batch, expit,
+from .models import (Head, Layer, Model, _mlp_backward, _mlp_forward, _raw_batch, expit,
                      mlp_model, softmax)
 
 
@@ -75,7 +75,8 @@ def fit_toy_model(
 
     loss = np.inf
     for _ in range(epochs):
-        logits, pre = _mlp_forward(layers, X)
+        post, pre = _mlp_forward(layers, X)
+        logits = post[-1]
         # loss gradient on the logits (mean reduction)
         if binary:
             p = expit(logits[:, 0])
@@ -86,8 +87,8 @@ def fit_toy_model(
             probs = softmax(logits)
             loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-12))
             delta = (probs - onehot) / n
-        _, dzs = _mlp_backward(layers, pre, delta)
-        inputs = [X] + [_act(layer.activation, z) for layer, z in zip(layers, pre[:-1])]
+        _, dzs = _mlp_backward(layers, (post, pre), delta)
+        inputs = [X] + post[:-1]
         layers = tuple(
             Layer(layer.weight - learning_rate * (dz.T @ a),
                   layer.bias - learning_rate * dz.sum(axis=0), layer.activation)

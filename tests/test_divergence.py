@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import fluxgrad as fg
+from fluxgrad import models
 from fluxgrad.neflag import SphereSpec
 
 
@@ -244,3 +247,46 @@ def test_exactly_zero_report_passes():
     report = fg.divergence_theorem_report(fg.quadratic_model([0.0, 0.0]), SphereSpec(np.zeros(2), 1.0), 1000)
     assert report.volume_integral == report.surface_integral == report.combined_standard_error == 0.0
     assert report.passed
+
+
+def _field_model():  # verify-field's model shape: dim 8, hidden (32,) tanh, 3 logits, softmax head
+    return fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=9, head=fg.Head("softmax", target=0))
+
+
+def test_report_temporaries_stay_within_the_block_budget():
+    model, samples = _field_model(), 10_000
+    tracemalloc.start()
+    try:
+        fg.divergence_theorem_report(model, SphereSpec(np.full(8, 0.1), 0.5), samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the surface side's normals, points and gradients, the gradient blocks before they are
+    # joined, and a handful of block temporaries; one unblocked (10,000, 32) temporary is 20 blocks
+    assert peak < 8 * models._BLOCK_BYTES + 4 * samples * model.dim * 8
+
+
+@pytest.mark.parametrize("samples", [1, 513, 1537])  # 512 rows a block for this model
+def test_sample_counts_off_the_block_size(samples):
+    model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
+    assert models._row_blocks(model, 1537, model.dim)[0] == slice(0, 512)
+    estimates = [fg.volume_divergence_integral(model, sphere, samples, seed=3)]
+    estimates += [fg.surface_flux_integral(model, sphere, samples, seed=4, mode=mode, subset=subset)
+                  for mode in fg.divergence.MODES for subset in fg.divergence.SUBSETS]
+    for est in estimates:
+        assert est.samples == samples
+        assert np.all(np.isfinite(est.value)) and np.all(np.isfinite(est.standard_error))
+
+
+@pytest.mark.parametrize("model, rows", [
+    (fg.quadratic_model(np.linspace(0.5, 2.0, 64)), 256),  # (rows x 64) gradients
+    (fg.random_mlp(64, hidden=(16,), out_dim=3, seed=1, head=fg.Head("softmax", target=0)), 1024),  # widest layer 16
+])
+def test_both_sides_pass_their_points_in_row_blocks(monkeypatch, model, rows):
+    seen = []
+    for name in ("gradient_batch", "laplacian_batch"):
+        batch = getattr(fg.divergence, name)
+        monkeypatch.setattr(fg.divergence, name, lambda m, xs, batch=batch: seen.append(len(xs)) or batch(m, xs))
+    fg.divergence_theorem_report(model, SphereSpec(np.zeros(64), 0.5), 2500)
+    tail = 2500 - (2500 // rows) * rows
+    assert seen == 2 * ([rows] * (2500 // rows) + [tail])

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -486,3 +487,78 @@ def test_every_model_check_holds_for_constructors_and_files(build, doc, message)
     if doc is not None:
         with pytest.raises(ValueError, match=re.escape(message)):
             fg.model_from_json(json.loads(json.dumps(doc)))  # NaN and Infinity as a file has them
+
+
+BLOCKED_PATH_MODELS = {
+    "quadratic": lambda rng: fg.quadratic_model(rng.uniform(0.5, 2.0, 50), rng.standard_normal(50)),
+    "gauss-mixture": lambda rng: fg.gauss_mixture_model([1.0, -0.5, 2.0], rng.standard_normal((3, 50)),
+                                                        [4.0, 5.0, 6.0], fg.Head("sigmoid")),
+    "mlp-softmax": lambda rng: fg.random_mlp(50, hidden=(16,), out_dim=3, activation="softplus", seed=8,
+                                             head=fg.Head("softmax", target=1)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_PATH_MODELS)
+def test_path_scores_carry_the_running_sum_across_row_blocks(monkeypatch, name):
+    rng = np.random.default_rng(41)
+    model = BLOCKED_PATH_MODELS[name](rng)
+    start, target, order = rng.standard_normal(50), rng.standard_normal(50), rng.permutation(50)
+    path = models.path_change(model, start, target)
+    width = path[2].shape[1]  # the first stage's: 1, 3 components, or the mlp's 16 units
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 8 * width * 8)  # 8 rows a block
+    assert [b.stop - b.start for b in models._row_blocks(model, 49, width)] == [8] * 6 + [1]
+    got = models.path_scores(model, path, order)
+    assert got.shape == (2, 49)
+    if name == "mlp-softmax":  # the blocks' matmuls may round differently from one over all rows
+        moved = np.array([np.isin(np.arange(50), order[:k]) for k in range(1, 50)])
+        for scores, a, b in ((got[0], start, target), (got[1], target, start)):
+            np.testing.assert_allclose(scores, fg.evaluate_batch(model, np.where(moved, b, a)), rtol=1e-12, atol=0)
+    else:  # no matmul after the first stage: the carried sum is the unblocked one, bit for bit
+        s_start, s_target, change = path
+        moved = np.cumsum(change[order[:-1]], axis=0)
+        for scores, s in zip(got, (s_start + moved, s_target - moved)):
+            assert np.array_equal(scores, models._headed(model, models._rest(model, s)[0]))
+
+
+def test_path_scores_temporaries_stay_within_the_block_budget():
+    model = fg.random_mlp(784, hidden=(128,), out_dim=10, activation="softplus", seed=3,
+                          head=fg.Head("softmax", target=4))
+    rng = np.random.default_rng(5)
+    path = models.path_change(model, rng.uniform(0.0, 1.0, 784), rng.uniform(0.0, 1.0, 784))
+    order = rng.permutation(784)
+    tracemalloc.start()
+    try:
+        scores = models.path_scores(model, path, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a handful of block temporaries and the scores; one unblocked (783, 128) temporary is 6 blocks
+    assert peak < 8 * models._BLOCK_BYTES + scores.nbytes
+
+
+@pytest.mark.parametrize("build, blocks", [
+    (lambda rng: fg.linear_model(rng.standard_normal(784)), 1),
+    (lambda rng: fg.quadratic_model(rng.uniform(0.5, 2.0, 784)), 1),
+    (lambda rng: fg.gauss_mixture_model([1.0, 2.0], rng.standard_normal((2, 784)), [20.0, 30.0]), 1),
+    (lambda rng: fg.random_mlp(784, hidden=(128,), activation="softplus", seed=3), 7),  # 128 rows a block
+])
+def test_path_blocks_follow_the_first_stage_not_the_input_length(monkeypatch, build, blocks):
+    rng = np.random.default_rng(8)
+    model = build(rng)
+    calls = []
+    rest = models._rest
+    monkeypatch.setattr(models, "_rest", lambda m, s: calls.append(len(s)) or rest(m, s))
+    path = models.path_change(model, rng.uniform(0.0, 1.0, 784), rng.uniform(0.0, 1.0, 784))
+    models.path_scores(model, path, rng.permutation(784))
+    assert len(calls) == 2 * blocks and sum(calls) == 2 * 783
+
+
+def test_tanh_backward_is_bit_identical_to_recomputing_the_activation():
+    model = fg.random_mlp(6, hidden=(9, 5), out_dim=3, activation="tanh", seed=4, head=fg.Head("softmax", target=2))
+    xs = np.random.default_rng(6).standard_normal((20, 6))
+    post, pre = _mlp_forward(model.params, xs)
+    cot = np.random.default_rng(7).standard_normal((20, 3))
+    delta = cot
+    for layer, z in zip(reversed(model.params), reversed(pre)):
+        delta = (delta * (1.0 - np.tanh(z) ** 2 if layer.activation == "tanh" else 1.0)) @ layer.weight
+    assert np.array_equal(models._mlp_backward(model.params, (post, pre), cot)[0], delta)
