@@ -7,7 +7,10 @@ flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
 differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
 pass their points to the model in row blocks (``models._row_blocks``) of at
 most 128 KiB of (rows x N) gradients, or of (rows x width) at an mlp's widest
-layer; a gauss-mixture's (rows x C x N) gradient terms are C times that.
+layer; a gauss-mixture's (rows x C x N) gradient terms are C times that, and
+an mlp's volume block holds the tangents of all N input directions at once,
+(N x K2 x rows) for K2 second-layer units.  The surface side draws each
+block's directions in turn, the same stream as one draw of every sample.
 """
 
 import json
@@ -98,19 +101,19 @@ def surface_flux_integral(
         raise ValueError(f"unknown subset {subset!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    normals = sphere_directions(rng, samples, sphere.dim)
-    pts = sphere.center + sphere.radius * normals
-    grads = np.concatenate([gradient_batch(model, pts[rows]) for rows in _row_blocks(model, samples, model.dim)])
-    flux = np.einsum("ij,ij->i", grads, normals)
-    if subset == "negative":
-        mask = flux < 0.0
-    elif subset == "positive":
-        mask = flux >= 0.0
-    else:
-        mask = np.ones(samples, dtype=bool)
-    vals = np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None]
-    return _estimate(vals, sphere_area(sphere.dim, sphere.radius))
+    rng, vals = np.random.default_rng(seed), []
+    for rows in _row_blocks(model, samples, model.dim):  # block draws continue one stream: the same normals as one draw
+        normals = sphere_directions(rng, rows.stop - rows.start, sphere.dim)
+        grads = gradient_batch(model, sphere.center + sphere.radius * normals)
+        flux = np.einsum("ij,ij->i", grads, normals)
+        if subset == "negative":
+            mask = flux < 0.0
+        elif subset == "positive":
+            mask = flux >= 0.0
+        else:
+            mask = np.ones(len(flux), dtype=bool)
+        vals.append(np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None])
+    return _estimate(np.concatenate(vals), sphere_area(sphere.dim, sphere.radius))
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ def _act_derivs(name, a):
     if name == "softplus":  # expit(z) = 1 - e^-a
         d = -np.expm1(-a)
         return d, d * (1.0 - d)
-    return 1.0, 0.0
+    return np.ones_like(a), np.zeros_like(a)
 
 
 def _readonly(a):
@@ -352,7 +352,8 @@ def evaluate_batch(model: Model, xs) -> np.ndarray:
 def path_change(model: Model, start, target):
     """First stages of start and target, and their (N, m) change phi_j(target_j) - phi_j(start_j)."""
     start, target = (_check_batch(model, v) for v in (start, target))  # every row's entries
-    change = _feature_terms(model, target[0]) - _feature_terms(model, start[0])
+    change = _feature_terms(model, target[0])
+    np.subtract(change, _feature_terms(model, start[0]), out=change)
     return _first_stage(model, start), _first_stage(model, target), change
 
 
@@ -426,27 +427,28 @@ def _mlp_laplacian(layers, xs):
     """Raw (n, K) output of an mlp, its Laplacian, and the (n, K, K) Gram matrix of its input gradients.
 
     The forward Laplacian of Li et al. (arXiv 2307.08214): a layer's is s'(z) * (W @ the previous layer's)
-    + s''(z) * |grad z|^2, with one input direction's tangents at a time, so no (n, width, N) Jacobian is held.
+    + s''(z) * |grad z|^2.  The pass runs on (width, n) columns, and the tangents of all N input directions
+    go together in one direction-major (N, width, n) array ``t``, so each layer is one product.  The first
+    layer's never exist: ``fold[(i, k), j] = W1[j, i] W2[k, j]`` takes the (width1, n) slopes straight to
+    z2's.  At the end ``t[i]`` is the (K, n) Jacobian column of input direction i.
     """
-    a, slopes = xs, []
+    a, slopes = xs.T, []
     for layer in layers:
-        a = _act(layer.activation, a @ layer.weight.T + layer.bias)
+        a = _act(layer.activation, layer.weight @ a + layer.bias[:, None])
         slopes.append(_act_derivs(layer.activation, a))
     w1 = layers[0].weight
-    sq = [np.sum(w1 * w1, axis=1)] + [0.0] * (len(layers) - 1)  # |grad z|^2, the same on every row for z1
-    gram = np.zeros((len(xs), a.shape[1], a.shape[1]))
-    for i in range(w1.shape[1]):
-        t = slopes[0][0] * w1[:, i]
-        for k, layer in enumerate(layers[1:], 1):
-            t = t @ layer.weight.T
-            if layer.activation != "identity":
-                sq[k] = sq[k] + t * t
-                t = slopes[k][0] * t
-        gram += t[..., :, None] * t[..., None, :]
+    w2 = layers[1].weight if len(layers) > 1 else np.eye(len(w1))  # one layer: fold with the identity
+    fold = (w1.T[:, None, :] * w2).reshape(-1, len(w1))
+    t = (fold @ slopes[0][0]).reshape(w1.shape[1], len(w2), len(xs))
+    sq = [np.sum(w1 * w1, axis=1)[:, None]]  # |grad z|^2, the same on every row for z1
+    for k, layer in enumerate(layers[1:], 1):
+        t = t if k == 1 else layer.weight @ t
+        sq.append(np.einsum("ikn,ikn->kn", t, t))
+        t *= slopes[k][0]
     lap = slopes[0][1] * sq[0]
     for layer, (d1, d2), s in zip(layers[1:], slopes[1:], sq[1:]):
-        lap = d1 * (lap @ layer.weight.T) + d2 * s
-    return a, lap + np.zeros_like(a), gram  # lap is one (K,) row for a net of identity layers
+        lap = d1 * (layer.weight @ lap) + d2 * s
+    return a.T, lap.T, np.einsum("ikn,iln->nkl", t, t)
 
 
 def laplacian_batch(model: Model, xs) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import fluxgrad as fg
-from fluxgrad import models
+from fluxgrad import geometry, models
 from fluxgrad.neflag import SphereSpec
 
 
@@ -232,6 +232,69 @@ class TestLaplacianBatch:
                 call()
 
 
+def _field_model():  # verify-field's model shape: dim 8, hidden (32,) tanh, 3 logits, softmax head
+    return fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=9, head=fg.Head("softmax", target=0))
+
+
+def _deep_and_wide_nets():
+    """Shapes the zoo lacks: a layer product after the first-layer fold, no second layer, and N far from K2."""
+    rng = np.random.default_rng(4)
+    widths, acts = (5, 7, 4, 6, 3), ("tanh", "softplus", "identity", "identity")
+    mixed = [fg.Layer(rng.standard_normal((n_out, n_in)) / 2, 0.1 * rng.standard_normal(n_out), act)
+             for n_in, n_out, act in zip(widths, widths[1:], acts)]
+    return {
+        "three-hidden-tanh-softplus-identity": fg.mlp_model(mixed, head=fg.Head("softmax", target=2)),
+        "one-tanh-layer-softmax": fg.mlp_model([fg.Layer(rng.standard_normal((3, 4)), rng.standard_normal(3), "tanh")],
+                                               head=fg.Head("softmax", target=1)),
+        "verify-field-dim-8": _field_model(),
+        "wide-input-64-16-10": fg.random_mlp(64, hidden=(16,), out_dim=10, seed=2, head=fg.Head("softmax", target=3)),
+    }
+
+
+DEEP_AND_WIDE_NETS = _deep_and_wide_nets()
+
+
+@pytest.mark.parametrize("model", DEEP_AND_WIDE_NETS.values(), ids=DEEP_AND_WIDE_NETS.keys())
+def test_deep_and_wide_nets_match_the_finite_difference_oracle(model):
+    xs = np.random.default_rng(1).normal(scale=0.8, size=(6, model.dim))
+    want = [fg.divergence_fd(model, x) for x in xs]
+    np.testing.assert_allclose(fg.laplacian_batch(model, xs), want, rtol=0, atol=100 * 1e-4**2)
+
+
+def _per_direction_laplacian(layers, xs):
+    """Reference: the forward Laplacian with one input direction's tangents at a time, rows first."""
+    a, slopes = xs, []
+    for layer in layers:
+        a = models._act(layer.activation, a @ layer.weight.T + layer.bias)
+        slopes.append(models._act_derivs(layer.activation, a))
+    sq = [np.zeros_like(d1) for d1, _ in slopes]
+    gram = np.zeros((len(xs), a.shape[1], a.shape[1]))
+    for i in range(xs.shape[1]):
+        t = np.zeros(xs.shape[1])
+        t[i] = 1.0
+        for layer, (d1, _), s in zip(layers, slopes, sq):
+            t = t @ layer.weight.T
+            s += t * t
+            t = d1 * t
+        gram += t[:, :, None] * t[:, None, :]
+    lap = np.zeros(xs.shape[1])
+    for layer, (d1, d2), s in zip(layers, slopes, sq):
+        lap = d1 * (lap @ layer.weight.T) + d2 * s
+    return a, lap, gram
+
+
+MLP_NETS = {name: m for name, m in {**LAPLACIAN_ZOO, **DEEP_AND_WIDE_NETS}.items() if m.kind == "mlp"}
+
+
+@pytest.mark.parametrize("model", MLP_NETS.values(), ids=MLP_NETS.keys())
+def test_direction_major_pass_matches_the_per_direction_loop(model):
+    # the same sums in another order: the products may round differently, so agree to 1e-12 of each array's size
+    xs = np.random.default_rng(3).normal(scale=0.8, size=(40, model.dim))
+    for got, want in zip(models._mlp_laplacian(model.params, xs), _per_direction_laplacian(model.params, xs)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
 def test_report_checks_the_gradient(monkeypatch):
     # The volume side no longer goes through gradient_batch, so a gradient 10% too large fails the report.
     model = fg.random_mlp(3, hidden=(6,), activation="softplus", seed=5)
@@ -249,10 +312,6 @@ def test_exactly_zero_report_passes():
     assert report.passed
 
 
-def _field_model():  # verify-field's model shape: dim 8, hidden (32,) tanh, 3 logits, softmax head
-    return fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=9, head=fg.Head("softmax", target=0))
-
-
 def test_report_temporaries_stay_within_the_block_budget():
     model, samples = _field_model(), 10_000
     tracemalloc.start()
@@ -264,6 +323,23 @@ def test_report_temporaries_stay_within_the_block_budget():
     # the surface side's normals, points and gradients, the gradient blocks before they are
     # joined, and a handful of block temporaries; one unblocked (10,000, 32) temporary is 20 blocks
     assert peak < 8 * models._BLOCK_BYTES + 4 * samples * model.dim * 8
+
+
+@pytest.mark.parametrize("samples", [1, 513, 1537])
+def test_surface_block_draws_match_one_whole_draw(samples):
+    # each row block draws its own normals; the stream is the one a single draw of every sample makes
+    model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
+    normals = geometry.sphere_directions(np.random.default_rng(4), samples, 8)
+    grads = np.concatenate([fg.gradient_batch(model, sphere.center + sphere.radius * normals[rows])
+                            for rows in models._row_blocks(model, samples, model.dim)])
+    flux = np.einsum("ij,ij->i", grads, normals)
+    masks = {"all": np.ones(samples, dtype=bool), "negative": flux < 0.0, "positive": flux >= 0.0}
+    for mode in fg.divergence.MODES:
+        for subset, mask in masks.items():
+            vals = np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None]
+            want = fg.divergence._estimate(vals, fg.sphere_area(8, 0.5))
+            got = fg.surface_flux_integral(model, sphere, samples, seed=4, mode=mode, subset=subset)
+            assert np.array_equal(got.value, want.value) and np.array_equal(got.standard_error, want.standard_error)
 
 
 @pytest.mark.parametrize("samples", [1, 513, 1537])  # 512 rows a block for this model
