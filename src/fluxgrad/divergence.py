@@ -5,12 +5,12 @@ The volume side integrates the exact Laplacian, from a forward-mode pass
 the reverse-mode gradient, dot-product or element-wise, optionally over a
 flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
 differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
-pass their points to the model in row blocks (``models._row_blocks``) of at
-most 128 KiB of (rows x N) gradients, or of (rows x width) at an mlp's widest
-layer; a gauss-mixture's (rows x C x N) gradient terms are C times that, and
-an mlp's volume block holds the tangents of all N input directions at once,
-(N x K2 x rows) for K2 second-layer units.  The surface side draws each
-block's directions in turn, the same stream as one draw of every sample.
+reach the model in row blocks (``models._row_blocks``) of at most 128 KiB of
+(rows x N) gradients, or of (rows x width) at an mlp's widest layer; a
+gauss-mixture's (rows x C x N) gradient terms are C times that, and an mlp's
+volume block holds the (N x K2 x rows) tangents of all N input directions.
+``laplacian_batch`` takes every point and runs the blocks itself; the surface
+side draws each block's directions in turn, the same stream as one draw.
 """
 
 import json
@@ -76,8 +76,7 @@ def volume_divergence_integral(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pts = ball_points(rng, samples, ball.center, ball.radius)
-    lap = np.concatenate([laplacian_batch(model, pts[rows]) for rows in _row_blocks(model, samples, model.dim)])
-    return _estimate(lap, ball_volume(ball.dim, ball.radius))
+    return _estimate(laplacian_batch(model, pts), ball_volume(ball.dim, ball.radius))
 
 
 def surface_flux_integral(

@@ -24,6 +24,11 @@ def ball_volume(dim: int, radius: float) -> float:
     return math.exp(log_v) * radius**dim
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a 2-D array: numpy's own formula for ``np.linalg.norm(a, axis=1)``, unwrapped."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def sphere_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """Draw n unit vectors uniformly distributed on the sphere in R^dim.
 
@@ -31,11 +36,11 @@ def sphere_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     norm (probability ~0) are redrawn.
     """
     g = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(g, axis=1)
+    norms = _row_norms(g)
     while np.any(norms < 1e-300):
         bad = norms < 1e-300
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(g, axis=1)
+        norms = _row_norms(g)
     return g / norms[:, None]
 
 

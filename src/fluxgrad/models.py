@@ -60,14 +60,10 @@ def _act(name, z):
     return z
 
 
-def _act_deriv(name, z, a):  # a is the activation's output at z
+def _act_deriv(name, z, a):  # a is the activation's output at z; identity layers never ask
     if name == "relu":
         return (z > 0.0).astype(float)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "softplus":
-        return expit(z)
-    return np.ones_like(z)
+    return 1.0 - a * a if name == "tanh" else expit(z)  # softplus
 
 
 def _act_derivs(name, a):
@@ -226,12 +222,11 @@ def _check_input(model: Model, x) -> np.ndarray:
 
 
 def _check_batch(model: Model, xs) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    xs = xs if xs.ndim > 1 else np.atleast_2d(xs)
     if xs.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"expected vectors of length {model.dim}, got {xs.shape[1]}"
-        )
-    if not np.all(np.isfinite(xs)):
+        raise DimensionMismatch(f"expected vectors of length {model.dim}, got {xs.shape[1]}")
+    if not np.isfinite(xs).all():
         raise NonFiniteInput("input contains non-finite components")
     return xs
 
@@ -263,7 +258,7 @@ def _mlp_backward(layers, forward, cotangent):
     dzs = []
     delta = cotangent
     for layer, z, a in zip(reversed(layers), reversed(pre), reversed(post)):
-        dz = delta * _act_deriv(layer.activation, z, a)
+        dz = delta if layer.activation == "identity" else delta * _act_deriv(layer.activation, z, a)
         dzs.append(dz)
         delta = dz @ layer.weight
     return delta, dzs[::-1]
@@ -423,23 +418,28 @@ def gradient_batch(model: Model, xs) -> np.ndarray:
     return _raw_grad_batch(model, xs, forward, cot)
 
 
-def _mlp_laplacian(layers, xs):
+def _laplacian_fold(layers):
+    """``fold[(i, k), j] = W1[j, i] W2[k, j]``, the (N K2 x width1) constant of :func:`_mlp_laplacian`."""
+    w1 = layers[0].weight
+    w2 = layers[1].weight if len(layers) > 1 else np.eye(len(w1))  # one layer: fold with the identity
+    return (w1.T[:, None, :] * w2).reshape(-1, len(w1))
+
+
+def _mlp_laplacian(layers, xs, fold):
     """Raw (n, K) output of an mlp, its Laplacian, and the (n, K, K) Gram matrix of its input gradients.
 
     The forward Laplacian of Li et al. (arXiv 2307.08214): a layer's is s'(z) * (W @ the previous layer's)
     + s''(z) * |grad z|^2.  The pass runs on (width, n) columns, and the tangents of all N input directions
     go together in one direction-major (N, width, n) array ``t``, so each layer is one product.  The first
-    layer's never exist: ``fold[(i, k), j] = W1[j, i] W2[k, j]`` takes the (width1, n) slopes straight to
-    z2's.  At the end ``t[i]`` is the (K, n) Jacobian column of input direction i.
+    layer's never exist: ``fold``, the layers' :func:`_laplacian_fold`, takes the (width1, n) slopes straight
+    to z2's.  At the end ``t[i]`` is the (K, n) Jacobian column of input direction i.
     """
     a, slopes = xs.T, []
     for layer in layers:
         a = _act(layer.activation, layer.weight @ a + layer.bias[:, None])
         slopes.append(_act_derivs(layer.activation, a))
     w1 = layers[0].weight
-    w2 = layers[1].weight if len(layers) > 1 else np.eye(len(w1))  # one layer: fold with the identity
-    fold = (w1.T[:, None, :] * w2).reshape(-1, len(w1))
-    t = (fold @ slopes[0][0]).reshape(w1.shape[1], len(w2), len(xs))
+    t = (fold @ slopes[0][0]).reshape(xs.shape[1], len(fold) // xs.shape[1], len(xs))
     sq = [np.sum(w1 * w1, axis=1)[:, None]]  # |grad z|^2, the same on every row for z1
     for k, layer in enumerate(layers[1:], 1):
         t = t if k == 1 else layer.weight @ t
@@ -455,12 +455,20 @@ def laplacian_batch(model: Model, xs) -> np.ndarray:
     """Laplacian (the trace of the Hessian) of the headed output at every row of xs; shape (n,).
 
     Exact: closed forms, or the forward Laplacian of an mlp, then the head's chain
-    rule g'(raw) . Laplacian + sum_kl g''_kl (grad raw_k . grad raw_l).
+    rule g'(raw) . Laplacian + sum_kl g''_kl (grad raw_k . grad raw_l).  The rows go in
+    :func:`_row_blocks` of N-wide gradients, and an mlp's fold is built once for all of them.
     """
     _require_smooth(model)
     xs = _check_batch(model, xs)
+    fold = _laplacian_fold(model.params) if model.kind == "mlp" else None
+    blocks = _row_blocks(model, len(xs), model.dim) or [slice(0, 0)]  # no rows: one empty block
+    return np.concatenate([_block_laplacian(model, xs[rows], fold) for rows in blocks])
+
+
+def _block_laplacian(model: Model, xs, fold):
+    """:func:`laplacian_batch` of one block of checked rows, given an mlp's fold."""
     if model.kind == "mlp":
-        raw, lap, gram = _mlp_laplacian(model.params, xs)
+        raw, lap, gram = _mlp_laplacian(model.params, xs, fold)
     else:
         s = _first_stage(model, xs)
         raw = _rest(model, s)[0]

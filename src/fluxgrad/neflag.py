@@ -30,7 +30,7 @@ import numpy as np
 
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
-from .geometry import sphere_points
+from .geometry import _row_norms, sphere_points
 from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
@@ -157,7 +157,7 @@ def _steps(sphere: SphereSpec, grads: np.ndarray, rule: str):
     Also returns the mask of rows whose gradient vanished; their update is
     meaningless and the caller must not use it.
     """
-    norms = np.linalg.norm(grads, axis=1)
+    norms = _row_norms(grads)
     stationary = norms == 0.0
     if rule == "normalized":
         shift = sphere.radius * grads / np.where(stationary, 1.0, norms)[:, None]
@@ -206,20 +206,24 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         """Stop the pending samples marked ``bad``; the mask of the rows that go on."""
         nonlocal pending
         errors.update(dict.fromkeys(pending[bad].tolist(), error))
-        # a sample after the lowest failed one cannot change the outcome
+        # a sample after the lowest failed one cannot change the outcome, so an empty ``bad`` changes nothing
         go_on = ~bad & (pending < min(errors, default=n))
         pending = pending[go_on]
         return go_on
 
     for _ in range(budget):
-        x_t = sphere_points(rng, n, sphere.center, sphere.radius)[pending]
+        x_t = sphere_points(rng, n, sphere.center, sphere.radius)
+        x_t = x_t if pending.size == n else x_t[pending]
         for _ in range(steps):
             x_t, stationary = _steps(sphere, gradient_batch(model, x_t), config.step_rule)
-            x_t = x_t[fail(stationary, StationaryGradient("stationary gradient, cannot step"))]
+            if stationary.any():
+                x_t = x_t[fail(stationary, StationaryGradient("stationary gradient, cannot step"))]
         off = x_t - sphere.center
-        dist = np.linalg.norm(off, axis=1)
-        go_on = fail(dist == 0.0, OffSphere("candidate point coincides with the sphere center"))
-        x_t, normals = x_t[go_on], off[go_on] / dist[go_on, None]
+        dist = _row_norms(off)
+        if not dist.all():
+            go_on = fail(dist == 0.0, OffSphere("candidate point coincides with the sphere center"))
+            x_t, off, dist = x_t[go_on], off[go_on], dist[go_on]
+        normals = off / dist[:, None]
         g = gradient_batch(model, x_t)
         flux = np.einsum("ij,ij->i", g, normals)
         accept = flux < 0.0
@@ -265,7 +269,7 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     """
     x = _check_input(model, x)
     sphere = SphereSpec(x, config.epsilon)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))  # the seed's first child
     points, grads = _search(model, sphere, config, rng, config.n_samples)
     # numpy adds the rows in index order, as a running total over the samples would
     total = (grads * (x - points)).sum(axis=0)

@@ -48,8 +48,8 @@ def fit_toy_model(
     class 0 by default, re-targetable via the head).  Deterministic given
     the seed.  Non-convergence is not an error; the final loss is reported.
     Fewer than one epoch, a learning rate that is not positive and finite,
-    a non-finite entry in X, or a fit whose weights overflow to non-finite
-    values is a ValueError.
+    a non-finite entry in X, a negative label, or a fit whose weights
+    overflow to non-finite values is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -59,6 +59,8 @@ def fit_toy_model(
         raise ValueError("dataset contains non-finite values")
     if X.shape[0] != y.size:
         raise ValueError("labels must match the number of samples")
+    if np.any(y < 0):
+        raise ValueError("class labels must be non-negative integers")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not 0 < learning_rate < np.inf:
@@ -113,7 +115,7 @@ def training_accuracy(model: Model, X, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# toy datasets and the CSV dataset format (last column = integer label)
+# toy datasets and the CSV dataset format (last column = non-negative integer label)
 
 
 def blob_dataset(

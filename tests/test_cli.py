@@ -242,6 +242,7 @@ MISUSE = {
     "train-toy-lr-negative": ["train-toy", "--lr", "-0.5"],
     "train-toy-lr-0": ["train-toy", "--lr", "0"],
     "train-toy-nan-cell": ["train-toy", "--input", "{nancsv}"],
+    "train-toy-negative-label": ["train-toy", "--input", "{negcsv}"],
     "model-nan-weight": ["verify", "--model", "{nanweight}"],
     "verify-out-missing": ["verify", NO_OUT],
     "unknown-option": ["attribute", "--method", "saliency", "--bogus"],
@@ -260,6 +261,7 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     (tmp_path / "fractarget.json").write_text(json.dumps({**softmax, "head": {"type": "softmax", "target": 1.5}}))
     (tmp_path / "nanweight.json").write_text(json.dumps({**doc, "params": {"a": [np.nan, 1.0], "b": 0.0}}))
     X, y = fg.blob_dataset(20, seed=3)
+    fg.save_dataset_csv(tmp_path / "neg.csv", X, 2 * y - 1)  # labels -1 and 1
     X[4, 1] = np.nan
     fg.save_dataset_csv(tmp_path / "nan.csv", X, y)
     out = tmp_path / "out"
@@ -267,7 +269,7 @@ def test_misuse_exits_2_with_one_line_and_no_output(fixtures, tmp_path, argv):
     argv = [a.format(baddim=tmp_path / "baddim.json", badhead=tmp_path / "badhead.json",
                      fractarget=tmp_path / "fractarget.json",
                      lin2d=tmp_path / "lin2d.json", nanweight=tmp_path / "nanweight.json",
-                     nancsv=tmp_path / "nan.csv", missing=out / "missing" / "o",
+                     nancsv=tmp_path / "nan.csv", negcsv=tmp_path / "neg.csv", missing=out / "missing" / "o",
                      huge=fixtures / "huge2.txt") for a in argv]
     model = ["--model", str(fixtures / "linear.json")]
     defaults = {

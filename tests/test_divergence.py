@@ -290,7 +290,8 @@ MLP_NETS = {name: m for name, m in {**LAPLACIAN_ZOO, **DEEP_AND_WIDE_NETS}.items
 def test_direction_major_pass_matches_the_per_direction_loop(model):
     # the same sums in another order: the products may round differently, so agree to 1e-12 of each array's size
     xs = np.random.default_rng(3).normal(scale=0.8, size=(40, model.dim))
-    for got, want in zip(models._mlp_laplacian(model.params, xs), _per_direction_laplacian(model.params, xs)):
+    arrays = models._mlp_laplacian(model.params, xs, models._laplacian_fold(model.params))
+    for got, want in zip(arrays, _per_direction_laplacian(model.params, xs)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -359,10 +360,36 @@ def test_sample_counts_off_the_block_size(samples):
     (fg.random_mlp(64, hidden=(16,), out_dim=3, seed=1, head=fg.Head("softmax", target=0)), 1024),  # widest layer 16
 ])
 def test_both_sides_pass_their_points_in_row_blocks(monkeypatch, model, rows):
+    # the surface side calls gradient_batch per block; the volume side hands every point to
+    # laplacian_batch, which runs the same blocks itself
     seen = []
-    for name in ("gradient_batch", "laplacian_batch"):
-        batch = getattr(fg.divergence, name)
-        monkeypatch.setattr(fg.divergence, name, lambda m, xs, batch=batch: seen.append(len(xs)) or batch(m, xs))
+    for module, name in ((models, "_block_laplacian"), (fg.divergence, "gradient_batch")):
+        batch = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, xs, *a, batch=batch: seen.append(len(xs)) or batch(m, xs, *a))
     fg.divergence_theorem_report(model, SphereSpec(np.zeros(64), 0.5), 2500)
     tail = 2500 - (2500 // rows) * rows
     assert seen == 2 * ([rows] * (2500 // rows) + [tail])
+
+
+FOLD_NETS = {
+    "narrow-verify-field": (_field_model(), 1100),  # 512 rows a block
+    "wide-256-64-10": (fg.random_mlp(256, hidden=(64,), out_dim=10, seed=6, head=fg.Head("softmax", target=4)), 600),
+}
+
+
+@pytest.mark.parametrize("model, n", FOLD_NETS.values(), ids=FOLD_NETS.keys())
+def test_laplacian_blocks_its_rows_and_builds_the_fold_once(monkeypatch, model, n):
+    xs = np.random.default_rng(5).normal(scale=0.8, size=(n, model.dim))
+    blocks = models._row_blocks(model, n, model.dim)
+    assert len(blocks) == 3
+    per_block = np.concatenate([fg.laplacian_batch(model, xs[rows]) for rows in blocks])
+    folds = []
+    fold = models._laplacian_fold
+    monkeypatch.setattr(models, "_laplacian_fold", lambda layers: folds.append(1) or fold(layers))
+    assert np.array_equal(fg.laplacian_batch(model, xs), per_block)
+    assert len(folds) == 1
+
+
+def test_laplacian_of_no_rows_is_empty():
+    for model in (_field_model(), fg.quadratic_model([1.0, 2.0])):
+        assert fg.laplacian_batch(model, np.empty((0, model.dim))).shape == (0,)

@@ -4,8 +4,9 @@ Every import of a module in ``src/fluxgrad`` is used, every private
 module-level function or class is referenced somewhere in ``src/``, no
 module-level assignment gives a second name to something that already has
 one, every field of a method or evaluation config is set as a keyword by
-some call in ``cli.py`` or ``evalkit.py``, and ``models._readonly`` is the
-one place that makes an array read-only.  ``__init__.py`` re-exports
+some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
+one place that makes an array read-only, and ``geometry._row_norms`` the one
+that takes row norms.  ``__init__.py`` re-exports
 names it does not use, so it is only searched for references.
 """
 
@@ -104,3 +105,16 @@ def test_only_models_readonly_freezes_arrays():
         and call.func.attr == "setflags"
     )
     assert freezers == ["models.py:_readonly"]
+
+
+def test_row_norms_come_from_one_helper():
+    # np.linalg.norm(a, axis=1) costs more in its wrapper than in the sum on the search's small
+    # rows; geometry._row_norms is its formula.  A vector norm, which takes no axis, may stay.
+    calls = sorted(
+        f"{module}:{call.lineno}"
+        for module, tree in TREES.items()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and ast.unparse(call.func).endswith("linalg.norm")
+        and (len(call.args) > 2 or any(kw.arg == "axis" for kw in call.keywords))
+    )
+    assert calls == []

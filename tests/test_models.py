@@ -562,3 +562,33 @@ def test_tanh_backward_is_bit_identical_to_recomputing_the_activation():
     for layer, z in zip(reversed(model.params), reversed(pre)):
         delta = (delta * (1.0 - np.tanh(z) ** 2 if layer.activation == "tanh" else 1.0)) @ layer.weight
     assert np.array_equal(models._mlp_backward(model.params, (post, pre), cot)[0], delta)
+
+
+BATCH_ORACLES = {"gradient_batch": fg.gradient_batch, "evaluate_batch": fg.evaluate_batch,
+                 "laplacian_batch": fg.laplacian_batch}
+
+
+@pytest.mark.parametrize("oracle", BATCH_ORACLES.values(), ids=BATCH_ORACLES.keys())
+def test_batch_oracles_take_lists_vectors_and_ints_and_reject_bad_rows(oracle):
+    model = fg.random_mlp(3, hidden=(4,), out_dim=3, seed=2, head=fg.Head("softmax", target=1))
+    rows = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    want = oracle(model, rows)
+    assert np.array_equal(oracle(model, rows.tolist()), want)
+    assert np.array_equal(oracle(model, rows[0]), oracle(model, rows[:1]))  # a vector is one row
+    assert np.array_equal(oracle(model, np.array([[1, -2, 0], [0, 3, -1]])), oracle(model, [[1.0, -2.0, 0.0], [0.0, 3.0, -1.0]]))
+    for bad in (np.zeros((2, 4)), np.zeros(2)):
+        with pytest.raises(fg.DimensionMismatch):
+            oracle(model, bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = rows.copy()
+        bad[1, 2] = value
+        with pytest.raises(fg.NonFiniteInput):
+            oracle(model, bad)
+
+
+def test_negative_labels_are_rejected():
+    X, y = fg.blob_dataset(40, seed=2)
+    # np.eye(3)[y] would read -1 as class 2, and a -1/1 binary fit would report a negative loss
+    for labels in (2 * y - 1, np.arange(40) % 4 - 1):  # -1/1, and -1, 0, 1, 2
+        with pytest.raises(ValueError, match="non-negative"):
+            fg.fit_toy_model(X, labels, epochs=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fluxgrad as fg
-from fluxgrad import neflag
+from fluxgrad import geometry, neflag
 from fluxgrad.geometry import sphere_points
 from fluxgrad.neflag import NeflagConfig, SphereSpec
 
@@ -407,3 +407,39 @@ class TestLockstepSearch:
             point, grad = sequential_sample(model, sphere, cfg, draws)
             att = fg.neflag_attribute(model, x, cfg)
             assert np.array_equal(att.values, grad * (x - point))
+
+
+TANH_NET = fg.random_mlp(4, hidden=(5,), activation="tanh", head=fg.Head("sigmoid"), seed=3)
+
+
+@pytest.mark.parametrize("kw", TestLockstepSearch.CONFIGS.values(), ids=TestLockstepSearch.CONFIGS.keys())
+def test_non_finite_input_is_rejected_under_every_step_rule(kw):
+    for x in ([np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
+        with np.errstate(invalid="ignore"), pytest.raises(fg.NonFiniteInput):
+            fg.neflag_attribute(TANH_NET, np.array(x), NeflagConfig(**kw))
+
+
+HUGE_CENTRE = {  # at 1e308 the 0.1 step is lost in rounding, and the model's products overflow
+    "tanh-sign": (TANH_NET, {}, fg.StationaryGradient),
+    "tanh-normalized-m5": (TANH_NET, {"step_rule": "normalized", "max_steps": 5}, fg.StationaryGradient),
+    "tanh-none": (TANH_NET, {"step_rule": "none"}, fg.OffSphere),
+    "linear-sign": (fg.linear_model([1.0, -2.0, 3.0]), {}, fg.OffSphere),
+    "quadratic-normalized": (fg.quadratic_model([1.0, 2.0]), {"step_rule": "normalized"}, fg.NonFiniteInput),
+}
+
+
+@pytest.mark.parametrize("model, kw, error", HUGE_CENTRE.values(), ids=HUGE_CENTRE.keys())
+def test_huge_centre_raises_a_fluxgrad_error(model, kw, error):
+    with np.errstate(all="ignore"), pytest.raises(error):
+        fg.neflag_attribute(model, np.full(model.dim, 1e308), NeflagConfig(**kw))
+
+
+@pytest.mark.parametrize("width", [1, 8, 784])
+def test_row_norms_equal_numpys_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    scale = 10.0 ** rng.choice([-200, -1, 0, 200], size=(64, 1))  # products near 1e+-400 over- and underflow
+    a = scale * rng.standard_normal((64, width))
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = geometry._row_norms(a), np.linalg.norm(a, axis=1)
+    assert np.array_equal(got, want)
+    assert np.isinf(got).any() and (got == 0.0).any()
