@@ -66,7 +66,12 @@ class EvalCurve:
 
     @property
     def auc(self) -> float:
-        return float(np.trapezoid(self.scores, self.fractions))
+        return _auc(self.scores)
+
+
+def _auc(scores) -> float:
+    """Trapezoid area under a curve's scores, at fractions 0, 1/N, ..., 1."""
+    return float(np.trapezoid(scores, np.arange(scores.size) / (scores.size - 1)))
 
 
 def feature_order(attribution: AttributionMap) -> np.ndarray:
@@ -100,19 +105,23 @@ def replacement_input(x, cfg: EvalConfig) -> np.ndarray:
 
 
 def _round(model: Model, x, cfg: EvalConfig):
-    """One replacement round of x: a function from a feature order to its [deletion, insertion]
-    curves.  The replacement, its exact ends and :func:`models.path_change` serve every order."""
+    """One replacement round of x: a function from a feature order to its (2, N + 1) [deletion,
+    insertion] score rows.  The replacement, its exact ends and :func:`models.path_change` serve
+    every order.  A feature equal to its replacement moves no point and costs no model row: its
+    point repeats the score before it, and the points before the first moving feature and after
+    the last one are the exact ends."""
     x = np.asarray(x, dtype=float)
     repl = replacement_input(x, cfg)
     ends = evaluate_batch(model, np.stack([x, repl]))  # exact, so deletion ends where insertion starts
     path = path_change(model, x, repl)
+    moves = x != repl
 
-    def curves(order) -> list:
-        dele, ins = path_scores(model, path, order)
-        return [EvalCurve(np.concatenate([ends[:1], dele, ends[1:]])),
-                EvalCurve(np.concatenate([ends[1:], ins, ends[:1]]))]
+    def scores(order) -> np.ndarray:
+        moving = moves[order]
+        distinct = np.concatenate([ends[:, None], path_scores(model, path, order[moving]), ends[::-1, None]], axis=1)
+        return distinct[:, np.concatenate([[0], np.cumsum(moving)])]  # point k: the moving features among order[:k]
 
-    return curves
+    return scores
 
 
 def _ranking(model: Model, attribution: AttributionMap) -> np.ndarray:
@@ -124,17 +133,17 @@ def _ranking(model: Model, attribution: AttributionMap) -> np.ndarray:
 
 def deletion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as top-attributed features are replaced, best first."""
-    return _round(model, x, cfg)(_ranking(model, attribution))[0]
+    return EvalCurve(_round(model, x, cfg)(_ranking(model, attribution))[0])
 
 
 def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> EvalCurve:
     """Model score as original features are restored into the replaced input."""
-    return _round(model, x, cfg)(_ranking(model, attribution))[1]
+    return EvalCurve(_round(model, x, cfg)(_ranking(model, attribution))[1])
 
 
 def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Insertion AUC minus deletion AUC under the same replacement mode."""
-    dele, ins = _round(model, x, cfg)(_ranking(model, attribution))
+    dele, ins = map(EvalCurve, _round(model, x, cfg)(_ranking(model, attribution)))
     return ins.auc - dele.auc
 
 
@@ -151,7 +160,7 @@ def _mean_difference(aucs: dict, cfg: EvalConfig) -> float:
 def two_round_difference(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Mean difference score over the black round and the blur/mean round."""
     order = _ranking(model, attribution)
-    aucs = {m: [c.auc for c in _round(model, x, replace(cfg, replacement=m))(order)] for m in _two_rounds(cfg)}
+    aucs = {m: [_auc(row) for row in _round(model, x, replace(cfg, replacement=m))(order)] for m in _two_rounds(cfg)}
     return _mean_difference(aucs, cfg)
 
 
@@ -279,7 +288,7 @@ def benchmark(
             for mode in dict.fromkeys((own, *_two_rounds(cfg))):
                 rnd = _round(model, x, replace(cfg, replacement=mode))
                 for name, order in orders.items():
-                    aucs[name][mode] = [c.auc for c in rnd(order)]
+                    aucs[name][mode] = [_auc(row) for row in rnd(order)]  # no EvalCurve: only its AUC is read
                 del rnd  # one round alive at a time
         except FluxgradError:  # the input itself is at fault
             continue

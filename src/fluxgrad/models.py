@@ -237,11 +237,14 @@ def _mlp_forward(layers, xs):
 
 
 def _mlp_from_first(layers, s):
-    """:func:`_mlp_forward` from the first layer's weighted inputs ``s = xs @ W1.T``."""
+    """:func:`_mlp_forward` from the first layer's weighted inputs ``s = xs @ W1.T``.
+
+    Consumes ``s``: the first bias is added into it, so the caller passes an array it no longer needs."""
     post, pre = [], []
     for layer in layers:
         # drop s once used: holding a large array alive slows later allocations
-        z, s = (s if not post else post[-1] @ layer.weight.T) + layer.bias, None
+        z, s = s if not post else post[-1] @ layer.weight.T, None
+        z += layer.bias
         pre.append(z)
         post.append(_act(layer.activation, z))
     return post, pre
@@ -298,7 +301,7 @@ def _feature_terms(model: Model, v):
 
 
 def _rest(model: Model, s):
-    """Raw (n, K) output from first stages s, plus the forward pass of an mlp."""
+    """Raw (n, K) output from first stages s, plus the forward pass of an mlp (which consumes s)."""
     p = model.params
     if model.kind == "mlp":
         post, pre = _mlp_from_first(p, s)
@@ -361,27 +364,30 @@ def _row_blocks(model: Model, n: int, width: int) -> list:
 
 
 def path_scores(model: Model, path, order) -> np.ndarray:
-    """Output after the head along the path that moves start to target, and along the reverse; shape (2, N - 1).
+    """Output after the head along the path that moves start to target, and along the reverse; shape (2, M - 1).
 
-    ``path`` is :func:`path_change` of (start, target).  Point k is ``start``
-    with the features ``order[:k]`` taken from ``target``, or the reverse, and
-    each direction gives the output at k = 1 ... N - 1.  Both share one
-    running sum, in ``order``, of the change: the first stage is s(start) plus
-    it, or s(target) minus it, which is exactly s(target) plus the running sum
-    of the negated change.  O(N m) work in place of an (N + 1, N) row matrix,
-    so point k matches ``evaluate_batch`` of its row within rounding; the ends
-    k = 0 and N are left out, to be evaluated exactly.  The points go in row
+    ``path`` is :func:`path_change` of (start, target), and ``order`` lists M
+    of its N features: all of them, or a subset (the others stay at start).
+    Point k is ``start`` with the features ``order[:k]`` taken from
+    ``target``, or the reverse, and each direction gives the output at
+    k = 1 ... M - 1.  Both share one running sum, in ``order``, of the change:
+    the first stage is s(start) plus it, or s(target) minus it, which is
+    exactly s(target) plus the running sum of the negated change.  O(M m)
+    work in place of an (M + 1, N) row matrix, so point k matches
+    ``evaluate_batch`` of its row within rounding; the ends k = 0 and M are
+    left out, to be evaluated exactly.  The points go in row
     blocks (:func:`_row_blocks`), each block's running sum starting from the
     last one's, so the sum makes the same additions as one ``cumsum``.  A
-    block's widest array is an (rows x m) first stage, or an mlp's layer."""
+    block's widest array is an (rows x m) first stage, or an mlp's layer;
+    the reverse direction's first stage is computed in the gathered block."""
     s_start, s_target, change = path
-    scores, carry = np.empty((2, len(order) - 1)), -0.0  # -0.0 + x is x, a signed zero too
+    scores, carry = np.empty((2, max(len(order), 1) - 1)), -0.0  # -0.0 + x is x, a signed zero too
     for rows in _row_blocks(model, len(order) - 1, change.shape[1]):
         moved = change[order[rows]]
         moved[0] += carry
-        carry = np.cumsum(moved, axis=0, out=moved)[-1]
+        carry = np.cumsum(moved, axis=0, out=moved)[-1].copy()  # the block is overwritten below
         scores[0, rows] = _headed(model, _rest(model, s_start + moved)[0])
-        scores[1, rows] = _headed(model, _rest(model, s_target - moved)[0])
+        scores[1, rows] = _headed(model, _rest(model, np.subtract(s_target, moved, out=moved))[0])
     return scores
 
 
@@ -394,7 +400,8 @@ def _headed(model: Model, raw):
         return expit(raw[:, 0])
     if h.use_logit:
         return raw[:, h.target]
-    return softmax(raw)[:, h.target]
+    e = np.exp(raw - np.max(raw, axis=1, keepdims=True))  # softmax, divided out in the target column only
+    return e[:, h.target] / np.sum(e, axis=1)
 
 
 def gradient_batch(model: Model, xs) -> np.ndarray:

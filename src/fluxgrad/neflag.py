@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
+from .errors import DimensionMismatch, NoNegativeFlux, NonFiniteInput, OffSphere, StationaryGradient
 from .geometry import _row_norms, sphere_points
 from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
 
@@ -268,6 +268,8 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
     x = _check_input(model, x)
+    if not np.isfinite(x).all():  # before the search's arithmetic warns on it
+        raise NonFiniteInput("input contains non-finite components")
     sphere = SphereSpec(x, config.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))  # the seed's first child
     points, grads = _search(model, sphere, config, rng, config.n_samples)

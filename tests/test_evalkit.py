@@ -161,6 +161,58 @@ def test_one_feature_curves_are_their_exact_ends(name):
     assert fg.two_round_difference(model, x, att) == 0.0
 
 
+STILL_MODELS = {
+    "mlp": lambda: fg.random_mlp(10, hidden=(7,), out_dim=3, activation="softplus", seed=3,
+                                 head=fg.Head("softmax", target=2)),
+    "gauss-mixture": lambda: _gauss(fg.Head("sigmoid")),
+}
+STILL_INPUTS = {  # features 0, 2, 5, 6 and 9 equal their replacement
+    "black": (EvalConfig("black"), np.array([0.0, 0.3, 0.0, -0.7, 1.1, 0.0, 0.0, 0.4, -0.2, 0.0])),
+    # the mean of five 0.5s and 0.25, 0.75, 0.125, 1.0, 0.375 is exactly 0.5
+    "mean": (EvalConfig("mean"), np.array([0.5, 0.25, 0.5, 0.75, 0.125, 0.5, 0.5, 1.0, 0.375, 0.5])),
+}
+
+
+@pytest.mark.parametrize("name", STILL_MODELS)
+@pytest.mark.parametrize("repl", STILL_INPUTS)
+def test_features_equal_to_their_replacement_repeat_the_previous_point(name, repl):
+    model = STILL_MODELS[name]()
+    cfg, x = STILL_INPUTS[repl]
+    values = np.array([10.0, 1.0, 6.0, 2.0, 3.0, 7.0, 0.0, 4.0, 5.0, 8.0])  # still features first, last and between
+    att = AttributionMap(values, "r")
+    order = feature_order(att)
+    still = x == replacement_input(x, cfg)
+    assert still.sum() == 5 and still[order[0]] and still[order[-1]]
+    for curve, start, target in ((fg.deletion_curve, x, replacement_input(x, cfg)),
+                                 (fg.insertion_curve, replacement_input(x, cfg), x)):
+        got = curve(model, x, att, cfg).scores
+        np.testing.assert_allclose(got, fg.evaluate_batch(model, curve_rows(start, target, order)[1]),
+                                   rtol=1e-12, atol=0)
+        for k in np.flatnonzero(still[order]) + 1:  # point k moved order[k - 1]
+            assert got[k] == got[k - 1]
+
+
+@pytest.mark.parametrize("name", STILL_MODELS)
+def test_only_moving_features_cost_path_rows(monkeypatch, name):
+    model = STILL_MODELS[name]()
+    order = np.arange(10)
+    calls = []
+    rest = fg.models._rest
+    for moving in (0, 1, 4, 10):
+        x = np.zeros(10)
+        x[:moving] = np.linspace(0.5, 1.0, moving)
+        rnd = evalkit._round(model, x, EvalConfig("black"))  # its exact ends are evaluated here
+        ends = fg.evaluate_batch(model, np.stack([x, np.zeros(10)]))
+        calls.clear()
+        monkeypatch.setattr(fg.models, "_rest", lambda m, s: calls.append(len(s)) or rest(m, s))
+        dele, ins = rnd(order)
+        monkeypatch.undo()
+        assert sum(calls) == 2 * max(moving - 1, 0)
+        if moving == 0:  # x is its own replacement: flat curves at the exact end
+            assert np.all(dele == ends[0]) and np.all(ins == ends[1])
+        assert dele[0] == ins[-1] == ends[0] and dele[-1] == ins[0] == ends[1]
+
+
 def test_eval_config_fields_after_replacement_are_keyword_only():
     with pytest.raises(TypeError):
         EvalConfig("black", (2, 5))

@@ -536,6 +536,26 @@ def test_path_scores_temporaries_stay_within_the_block_budget():
     assert peak < 8 * models._BLOCK_BYTES + scores.nbytes
 
 
+@pytest.mark.parametrize("name", BLOCKED_PATH_MODELS)
+def test_path_scores_leave_the_path_unchanged_and_take_any_subset_order(monkeypatch, name):
+    rng = np.random.default_rng(43)
+    model = BLOCKED_PATH_MODELS[name](rng)
+    start, target = rng.standard_normal(50), rng.standard_normal(50)
+    path = models.path_change(model, start, target)
+    kept = [a.copy() for a in path]
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 8 * path[2].shape[1] * 8)  # 8 rows a block
+    subset = rng.permutation(50)[:30]  # the other 20 features stay at start, or at target in reverse
+    first = models.path_scores(model, path, subset)
+    # one path feeds every order of a round, so scoring must not write into it
+    assert all(np.array_equal(a, b) for a, b in zip(path, kept))
+    assert np.array_equal(models.path_scores(model, path, subset), first)
+    moved = np.array([np.isin(np.arange(50), subset[:k]) for k in range(1, 30)])
+    for scores, a, b in ((first[0], start, target), (first[1], target, start)):
+        np.testing.assert_allclose(scores, fg.evaluate_batch(model, np.where(moved, b, a)), rtol=1e-12, atol=0)
+    for short in ([], [7]):  # no point lies between the ends
+        assert models.path_scores(model, path, np.array(short, dtype=int)).shape == (2, 0)
+
+
 @pytest.mark.parametrize("build, blocks", [
     (lambda rng: fg.linear_model(rng.standard_normal(784)), 1),
     (lambda rng: fg.quadratic_model(rng.uniform(0.5, 2.0, 784)), 1),

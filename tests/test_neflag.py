@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,15 @@ def test_non_finite_input_is_rejected_under_every_step_rule(kw):
     for x in ([np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
         with np.errstate(invalid="ignore"), pytest.raises(fg.NonFiniteInput):
             fg.neflag_attribute(TANH_NET, np.array(x), NeflagConfig(**kw))
+
+
+@pytest.mark.parametrize("kw", TestLockstepSearch.CONFIGS.values(), ids=TestLockstepSearch.CONFIGS.keys())
+def test_non_finite_input_is_rejected_before_any_arithmetic_warns(kw):
+    for x in ([np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning from the search would fail here
+            with pytest.raises(fg.NonFiniteInput):
+                fg.neflag_attribute(TANH_NET, np.array(x), NeflagConfig(**kw))
 
 
 HUGE_CENTRE = {  # at 1e308 the 0.1 step is lost in rounding, and the model's products overflow
