@@ -9,8 +9,10 @@ reach the model in row blocks (``models._row_blocks``) of at most 128 KiB of
 (rows x N) gradients, or of (rows x width) at an mlp's widest layer; a
 gauss-mixture's (rows x C x N) gradient terms are C times that, and an mlp's
 volume block holds the (N x K2 x rows) tangents of all N input directions.
-``laplacian_batch`` takes every point and runs the blocks itself; the surface
-side draws each block's directions in turn, the same stream as one draw.
+``laplacian_batch`` takes every point and runs the blocks itself; the ball's
+points are one draw scaled and shifted in place, and the surface side draws
+each block's directions in turn, the same stream as one draw.  The heads reduce
+across logit columns: a softmax max is one ``np.maximum`` pass per column.
 """
 
 import json
@@ -105,12 +107,10 @@ def surface_flux_integral(
         normals = sphere_directions(rng, rows.stop - rows.start, sphere.dim)
         grads = gradient_batch(model, sphere.center + sphere.radius * normals)
         flux = np.einsum("ij,ij->i", grads, normals)
-        if subset == "negative":
-            mask = flux < 0.0
-        elif subset == "positive":
-            mask = flux >= 0.0
-        else:
-            mask = np.ones(len(flux), dtype=bool)
+        if subset == "all":  # no mask: every point counts
+            vals.append(flux if mode == "dot" else grads * normals)
+            continue
+        mask = flux < 0.0 if subset == "negative" else flux >= 0.0
         vals.append(np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None])
     return _estimate(np.concatenate(vals), sphere_area(sphere.dim, sphere.radius))
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from .models import _BLOCK_BYTES
+
 
 def sphere_area(dim: int, radius: float) -> float:
     """Surface area of the (dim-1)-sphere of the given radius in R^dim.
@@ -32,16 +34,19 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def sphere_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """Draw n unit vectors uniformly distributed on the sphere in R^dim.
 
-    Gaussian samples normalized to unit length; rows that underflow to zero
-    norm (probability ~0) are redrawn.
+    Gaussian samples normalized to unit length in place, their norms taken
+    over 128 KiB of rows at a time, so that a draw holds one (n, dim) array;
+    rows that underflow to zero norm (probability ~0) are redrawn.
     """
-    g = rng.standard_normal((n, dim))
-    norms = _row_norms(g)
+    g, step = rng.standard_normal((n, dim)), max(1, _BLOCK_BYTES // (8 * dim))
+    # one block skips the list and concatenate, 1.6 us of a 20-row draw's 4.1 (two such draws an attribution)
+    norms = np.concatenate([_row_norms(g[i:i + step]) for i in range(0, n, step)]) if n > step else _row_norms(g)
     while np.any(norms < 1e-300):
         bad = norms < 1e-300
         g[bad] = rng.standard_normal((int(bad.sum()), dim))
         norms = _row_norms(g)
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g
 
 
 def sphere_points(
@@ -58,10 +63,11 @@ def ball_points(
     """Draw n points uniformly in the solid ball around center.
 
     Uniform direction times radius scaled by U^(1/dim), which is exact in
-    any dimension.
+    any dimension; the directions are scaled and shifted in place.
     """
     center = np.asarray(center, dtype=float)
     dim = center.size
     dirs = sphere_directions(rng, n, dim)
     r = radius * rng.random(n) ** (1.0 / dim)
-    return center + dirs * r[:, None]
+    dirs *= r[:, None]
+    return np.add(dirs, center, out=dirs)

@@ -38,7 +38,7 @@ STEP_RULES = ("sign", "normalized", "none")
 
 @dataclass(frozen=True, eq=False)
 class SphereSpec:
-    """The epsilon-sphere S_x: center x and radius epsilon."""
+    """The epsilon-sphere S_x: a finite center x and a radius epsilon with x + epsilon > x in every entry."""
 
     center: np.ndarray
     radius: float
@@ -48,6 +48,11 @@ class SphereSpec:
         object.__setattr__(self, "radius", float(self.radius))
         if not 0 < self.radius < np.inf:
             raise ValueError("sphere radius must be positive and finite")
+        if not (self.center + self.radius > self.center).all():  # one vector pass finds NaN, inf and a lost radius
+            if not np.isfinite(self.center).all():
+                raise NonFiniteInput("input contains non-finite components")
+            raise OffSphere(f"sphere radius {self.radius:g} is lost in rounding at a center of magnitude "
+                            f"{abs(self.center).max():.3g}")
 
     @property
     def dim(self) -> int:
@@ -268,9 +273,7 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
     x = _check_input(model, x)
-    if not np.isfinite(x).all():  # before the search's arithmetic warns on it
-        raise NonFiniteInput("input contains non-finite components")
-    sphere = SphereSpec(x, config.epsilon)
+    sphere = SphereSpec(x, config.epsilon)  # refuses a non-finite x before the search's arithmetic warns on it
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))  # the seed's first child
     points, grads = _search(model, sphere, config, rng, config.n_samples)
     # numpy adds the rows in index order, as a running total over the samples would

@@ -220,11 +220,13 @@ MISUSE = {
     "smoothgrad-sigma-neg": ["attribute", "--method", "smoothgrad", "--sigma", "-1"],
     "ig-steps-0": ["attribute", "--method", "ig", "--steps", "0"],
     "ig-non-finite-map": ["attribute", "--method", "ig", "--input", "{huge}"],
+    "neflag-huge-centre": ["attribute", "--method", "neflag", "--input", "{huge}"],
     "taylor-epsilon-neg": ["attribute", "--method", "taylor", "--epsilon", "-1"],
     "grid-too-big": ["attribute", "--method", "saliency", "--grid", "3x3"],
     "grid-negative": ["attribute", "--method", "saliency", "--grid=-1x-2"],
     "verify-epsilon-neg": ["verify", "--epsilon", "-1"],
     "verify-samples-0": ["verify", "--samples", "0"],
+    "verify-huge-centre": ["verify", "--input", "{huge}"],
     "eval-samples-0": ["eval", "--samples", "0"],
     "eval-blur-grid": ["eval", "--replacement", "blur", "--grid", "3x3"],
     "eval-limit-neg": ["eval", "--limit", "-1"],

@@ -296,6 +296,59 @@ def test_direction_major_pass_matches_the_per_direction_loop(model):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
+def _unit_slope_laplacian(layers, xs, fold):
+    """Reference: _mlp_laplacian with an identity layer's slope arrays of ones and zeros, and their x1 and +0 passes."""
+    a, slopes = xs.T, []
+    for layer in layers:
+        a = models._act(layer.activation, layer.weight @ a + layer.bias[:, None])
+        slopes.append(models._act_derivs(layer.activation, a))
+    w1 = layers[0].weight
+    t = (fold @ slopes[0][0]).reshape(xs.shape[1], len(fold) // xs.shape[1], len(xs))
+    sq = [np.sum(w1 * w1, axis=1)[:, None]]
+    for k, layer in enumerate(layers[1:], 1):
+        t = t if k == 1 else layer.weight @ t
+        sq.append(np.einsum("ikn,ikn->kn", t, t))
+        t *= slopes[k][0]
+    lap = slopes[0][1] * sq[0]
+    for layer, (d1, d2), s in zip(layers[1:], slopes[1:], sq[1:]):
+        lap = d1 * (layer.weight @ lap) + d2 * s
+    return a.T, lap.T, np.einsum("ikn,iln->nkl", t, t)
+
+
+def _identity_layer_nets():
+    rng = np.random.default_rng(8)
+    stacks = {
+        "first-and-last": ("identity", "tanh", "identity"),
+        "hidden-and-last": ("tanh", "identity", "softplus", "identity"),
+        "two-in-a-row": ("softplus", "identity", "identity"),
+        "first-two-then-tanh": ("identity", "identity", "tanh"),
+        "only-one": ("identity",),
+        "none": ("tanh", "softplus"),
+    }
+    nets = {}
+    for name, acts in stacks.items():
+        widths = (4, *rng.integers(2, 7, len(acts) - 1), 3)
+        layers = [fg.Layer(rng.standard_normal((n_out, n_in)), rng.standard_normal(n_out), act)
+                  for n_in, n_out, act in zip(widths, widths[1:], acts)]
+        nets[name] = fg.mlp_model(layers, head=fg.Head("softmax", target=1))
+    return nets
+
+
+IDENTITY_LAYER_NETS = _identity_layer_nets()
+
+
+@pytest.mark.parametrize("model", IDENTITY_LAYER_NETS.values(), ids=IDENTITY_LAYER_NETS.keys())
+def test_identity_layers_skip_their_unit_slopes_bit_for_bit(model):
+    # a later identity layer gets no slope arrays and no x1 and +0 passes; the first keeps its ones, the fold's operand
+    xs = np.random.default_rng(6).normal(scale=0.8, size=(300, model.dim))
+    fold = models._laplacian_fold(model.params)
+    got = models._mlp_laplacian(model.params, xs, fold)
+    want = _unit_slope_laplacian(model.params, xs, fold)
+    for g, w, slow in zip(got, want, _per_direction_laplacian(model.params, xs)):
+        assert g.shape == w.shape and np.array_equal(g, w)
+        np.testing.assert_allclose(g, slow, rtol=0, atol=1e-12 * max(1.0, np.abs(slow).max()))
+
+
 def test_report_checks_the_gradient(monkeypatch):
     # The volume side no longer goes through gradient_batch, so a gradient 10% too large fails the report.
     model = fg.random_mlp(3, hidden=(6,), activation="softplus", seed=5)
@@ -324,6 +377,59 @@ def test_report_temporaries_stay_within_the_block_budget():
     # the surface side's normals, points and gradients, the gradient blocks before they are
     # joined, and a handful of block temporaries; one unblocked (10,000, 32) temporary is 20 blocks
     assert peak < 8 * models._BLOCK_BYTES + 4 * samples * model.dim * 8
+
+
+def test_volume_side_holds_one_sample_array_plus_block_temporaries():
+    model, samples = _field_model(), 10_000
+    sphere = SphereSpec(np.full(8, 0.1), 0.5)
+    tracemalloc.start()
+    try:
+        fg.volume_divergence_integral(model, sphere, samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ball's points, scaled and shifted where they were drawn and normed 128 KiB of rows at a time, and
+    # laplacian_batch's block temporaries (about five); drawing out of place held three (samples, N) arrays
+    assert peak < samples * model.dim * 8 + 6 * models._BLOCK_BYTES
+
+
+class _ZeroRowFirst:
+    """A generator whose first normal draw has an all-zero row, which sphere_directions must redraw."""
+
+    def __init__(self, seed, row):
+        self.rng, self.row = np.random.default_rng(seed), row
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        if self.row is not None:
+            g[self.row], self.row = 0.0, None
+        return g
+
+    def random(self, n):
+        return self.rng.random(n)
+
+
+def _out_of_place_directions(rng, n, dim):
+    """Reference: sphere_directions as it was, normed in one pass and divided into a new array."""
+    g = rng.standard_normal((n, dim))
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms < 1e-300):
+        bad = norms < 1e-300
+        g[bad] = rng.standard_normal((int(bad.sum()), dim))
+        norms = np.linalg.norm(g, axis=1)
+    return g / norms[:, None]
+
+
+@pytest.mark.parametrize("n, dim", [(1, 3), (5000, 8), (50, 784), (17_000, 1)])  # the last three in 3 norm blocks
+@pytest.mark.parametrize("zero_row", [None, 0, -1])
+def test_in_place_draws_equal_the_out_of_place_formulas(n, dim, zero_row):
+    center, radius = np.linspace(-1.0, 2.0, dim), 0.7
+    got = geometry.sphere_directions(_ZeroRowFirst(1, zero_row), n, dim)
+    assert np.array_equal(got, _out_of_place_directions(_ZeroRowFirst(1, zero_row), n, dim))
+    got = geometry.ball_points(_ZeroRowFirst(2, zero_row), n, center, radius)
+    rng = _ZeroRowFirst(2, zero_row)
+    dirs = _out_of_place_directions(rng, n, dim)
+    assert np.array_equal(got, center + dirs * (radius * rng.random(n) ** (1.0 / dim))[:, None])
 
 
 @pytest.mark.parametrize("samples", [1, 513, 1537])

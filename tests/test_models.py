@@ -612,3 +612,27 @@ def test_negative_labels_are_rejected():
     for labels in (2 * y - 1, np.arange(40) % 4 - 1):  # -1/1, and -1, 0, 1, 2
         with pytest.raises(ValueError, match="non-negative"):
             fg.fit_toy_model(X, labels, epochs=1)
+
+
+def _logits_across_700(rng, n, k, order):
+    """(n, k) logits uniform in [-700, 700], with rows of ties and signed zeros, in memory order ``order``."""
+    z = rng.uniform(-700.0, 700.0, (n, k))
+    z[0], z[1], z[2] = 0.0, -0.0, z[2, 0]
+    z[3, ::2] = -0.0
+    return np.asarray(z, order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_column_max_heads_equal_the_np_max_forms_bit_for_bit(order):
+    # softmax and _headed take the row max as one np.maximum pass per logit column; the forms they replaced follow
+    rng = np.random.default_rng(12)
+    for k in range(1, 13):
+        z = _logits_across_700(rng, 200, k, order)
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        assert np.array_equal(models.softmax(z), e / np.sum(e, axis=-1, keepdims=True))
+        z3 = np.asarray(z.reshape(8, 25, k), order=order)  # more than one leading axis
+        e3 = np.exp(z3 - np.max(z3, axis=-1, keepdims=True))
+        assert np.array_equal(models.softmax(z3), e3 / np.sum(e3, axis=-1, keepdims=True))
+        for target in sorted({0, k // 2, k - 1}) if k > 1 else ():
+            model = fg.random_mlp(2, out_dim=k, head=fg.Head("softmax", target=target))
+            assert np.array_equal(models._headed(model, z), e[:, target] / np.sum(e, axis=1))

@@ -429,19 +429,36 @@ def test_non_finite_input_is_rejected_before_any_arithmetic_warns(kw):
                 fg.neflag_attribute(TANH_NET, np.array(x), NeflagConfig(**kw))
 
 
-HUGE_CENTRE = {  # at 1e308 the 0.1 step is lost in rounding, and the model's products overflow
-    "tanh-sign": (TANH_NET, {}, fg.StationaryGradient),
-    "tanh-normalized-m5": (TANH_NET, {"step_rule": "normalized", "max_steps": 5}, fg.StationaryGradient),
-    "tanh-none": (TANH_NET, {"step_rule": "none"}, fg.OffSphere),
-    "linear-sign": (fg.linear_model([1.0, -2.0, 3.0]), {}, fg.OffSphere),
-    "quadratic-normalized": (fg.quadratic_model([1.0, 2.0]), {"step_rule": "normalized"}, fg.NonFiniteInput),
+HUGE_CENTRE = {  # at 1e308 the 0.1 step is lost in rounding: the sphere is refused before any model call
+    "tanh-sign": (TANH_NET, {}),
+    "tanh-normalized-m5": (TANH_NET, {"step_rule": "normalized", "max_steps": 5}),
+    "tanh-none": (TANH_NET, {"step_rule": "none"}),
+    "linear-sign": (fg.linear_model([1.0, -2.0, 3.0]), {}),
+    "quadratic-normalized": (fg.quadratic_model([1.0, 2.0]), {"step_rule": "normalized"}),
 }
 
 
-@pytest.mark.parametrize("model, kw, error", HUGE_CENTRE.values(), ids=HUGE_CENTRE.keys())
-def test_huge_centre_raises_a_fluxgrad_error(model, kw, error):
-    with np.errstate(all="ignore"), pytest.raises(error):
-        fg.neflag_attribute(model, np.full(model.dim, 1e308), NeflagConfig(**kw))
+@pytest.mark.parametrize("model, kw", HUGE_CENTRE.values(), ids=HUGE_CENTRE.keys())
+def test_huge_centre_raises_a_fluxgrad_error(model, kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic overflows
+        with pytest.raises(fg.OffSphere, match=r"radius 0.1 is lost in rounding at a center of magnitude 1e\+308"):
+            fg.neflag_attribute(model, np.full(model.dim, 1e308), NeflagConfig(**kw))
+
+
+def test_sphere_radius_must_move_every_coordinate_of_its_center():
+    # ulp(1e15) is 0.125, so a 0.1 step still moves it; ulp(1e16) is 2, so it does not
+    SphereSpec(np.array([0.0, 1e15]), 0.1)
+    for center in ([0.0, 1e16], [-1e16, 3.0]):
+        with pytest.raises(fg.OffSphere, match="lost in rounding"):
+            SphereSpec(np.array(center), 0.1)
+    with pytest.raises(fg.OffSphere, match="magnitude 1e\\+16"):
+        SphereSpec(np.array([1e16, -2e15]), 1.0)
+    SphereSpec(np.array([1e16, -2e15]), 4.0)
+    SphereSpec(np.array([0.0, -2.0**53]), 1.0)  # one-sided: -2**53 + 1 is exact, though -2**53 - 1 rounds back
+    for center in ([np.nan, 0.0], [0.0, -np.inf]):  # the same pass finds a non-finite center
+        with pytest.raises(fg.NonFiniteInput):
+            SphereSpec(np.array(center), 0.1)
 
 
 @pytest.mark.parametrize("width", [1, 8, 784])
