@@ -1,15 +1,12 @@
 """The per-feature attribution container and its file formats."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NonFiniteAttribution
-from .models import _readonly
+from .models import _readonly, _Record
 
 
-@dataclass(frozen=True, eq=False)
-class AttributionMap:
+class AttributionMap(_Record):
     """Per-feature attribution scores plus method metadata.
 
     ``samples_used`` counts the accepted stochastic samples for sampling
@@ -17,40 +14,31 @@ class AttributionMap:
     deterministic methods.
     """
 
-    values: np.ndarray
-    method: str
-    params: dict = field(default_factory=dict)
-    samples_used: int | None = None
+    __slots__ = _fields = ("values", "method", "params", "samples_used")
 
-    def __post_init__(self):
-        values = _readonly(self.values)
+    def __init__(self, values: np.ndarray, method: str, params: dict | None = None, samples_used: int | None = None):
+        values = _readonly(values)
         if values.ndim != 1:
             raise ValueError("attribution values must be a flat vector")
         if not np.all(np.isfinite(values)):
             raise NonFiniteAttribution("attribution values must be finite")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "samples_used", samples_used)
 
     def __len__(self):
         return self.values.size
 
     def to_json(self) -> dict:
-        doc = {
-            "method": self.method,
-            "params": self.params,
-            "values": self.values.tolist(),
-        }
-        if self.samples_used is not None:
-            doc["samples_used"] = self.samples_used
+        doc = dict(self._asdict(), values=self.values.tolist())
+        if self.samples_used is None:
+            del doc["samples_used"]
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttributionMap":
-        return cls(
-            np.asarray(doc["values"], dtype=float),
-            doc["method"],
-            dict(doc.get("params", {})),
-            doc.get("samples_used"),
-        )
+        return cls(doc["values"], doc["method"], dict(doc.get("params", {})), doc.get("samples_used"))
 
     def csv_str(self) -> str:
         """Flat CSV: feature index, attribution value."""

@@ -1,42 +1,38 @@
 """Reference gradient-based attribution methods: saliency, smoothed
 gradients, and straight-line path-integrated gradients."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attribution import AttributionMap
 from .errors import DimensionMismatch
-from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
 
 
-@dataclass(frozen=True)
-class SmoothGradConfig:
+class SmoothGradConfig(_ValueRecord):
     """Gaussian input noise level, sample count, and seed."""
 
-    sigma: float = 0.1
-    samples: int = 50
-    seed: int = 0
+    __slots__ = _fields = ("sigma", "samples", "seed")
 
-    def __post_init__(self):
+    def __init__(self, sigma: float = 0.1, samples: int = 50, seed: int = 0):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
         if not 0 <= self.sigma < np.inf:
             raise ValueError("sigma must be >= 0 and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class IgConfig:
+class IgConfig(_Record):
     """Path-integration baseline point and Riemann step count."""
 
-    baseline: np.ndarray | None = None
-    steps: int = 100
+    __slots__ = _fields = ("baseline", "steps")
 
-    def __post_init__(self):
+    def __init__(self, baseline: np.ndarray | None = None, steps: int = 100):
+        object.__setattr__(self, "steps", steps)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.baseline is not None:
-            object.__setattr__(self, "baseline", _readonly(self.baseline))
+        object.__setattr__(self, "baseline", baseline if baseline is None else _readonly(baseline))
 
 
 def saliency(model: Model, x) -> AttributionMap:
@@ -58,16 +54,7 @@ def smoothgrad(model: Model, x, cfg: SmoothGradConfig = SmoothGradConfig()) -> A
         rng = np.random.default_rng(cfg.seed)
         noise = cfg.sigma * rng.standard_normal((cfg.samples, x.size))
         values = gradient_batch(model, x + noise).mean(axis=0)
-    return AttributionMap(
-        values,
-        "smoothgrad",
-        {
-            "sigma": cfg.sigma,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-        },
-        samples_used=cfg.samples,
-    )
+    return AttributionMap(values, "smoothgrad", cfg._asdict(), samples_used=cfg.samples)
 
 
 def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> AttributionMap:

@@ -16,31 +16,30 @@ across logit columns: a softmax max is one ``np.maximum`` pass per column.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ball_points, ball_volume, sphere_area, sphere_directions
-from .models import Model, _require_smooth, _row_blocks, gradient_batch, laplacian_batch
+from .models import Model, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch, laplacian_batch
 from .neflag import SphereSpec
 
 SUBSETS = ("all", "negative", "positive")
 MODES = ("dot", "elementwise")
 
 
-@dataclass(frozen=True, eq=False)
-class IntegralEstimate:
+class IntegralEstimate(_Record):
     """Monte-Carlo estimate with its standard error and sample count.
 
     ``value`` and ``standard_error`` are scalars in dot mode and length-N
     vectors in element-wise mode.
     """
 
-    value: object
-    standard_error: object
-    samples: int
+    __slots__ = _fields = ("value", "standard_error", "samples")
 
-    def __post_init__(self):
+    def __init__(self, value, standard_error, samples: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "samples", samples)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -115,14 +114,10 @@ def surface_flux_integral(
     return _estimate(np.concatenate(vals), sphere_area(sphere.dim, sphere.radius))
 
 
-@dataclass(frozen=True)
-class DivergenceTheoremReport:
+class DivergenceTheoremReport(_ValueRecord):
     """Both sides of the volume/surface identity with a PASS verdict."""
 
-    volume_integral: float
-    surface_integral: float
-    combined_standard_error: float
-    samples: int
+    __slots__ = _fields = ("volume_integral", "surface_integral", "combined_standard_error", "samples")
 
     @property
     def difference(self) -> float:

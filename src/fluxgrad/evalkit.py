@@ -10,7 +10,6 @@ distribution shift both curves share.
 
 import contextlib
 import json
-from dataclasses import KW_ONLY, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,14 +23,13 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import Model, _readonly, evaluate_batch, path_change, path_scores
+from .models import Model, _readonly, _Record, _ValueRecord, evaluate_batch, path_change, path_scores
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(_ValueRecord):
     """Curve construction knobs.
 
     ``replacement`` selects the substitute for removed features: zeros
@@ -40,23 +38,22 @@ class EvalConfig:
     round).  A curve has a point after each of 0, 1, ..., N features move.
     """
 
-    replacement: str = "black"
-    _: KW_ONLY
-    grid: tuple[int, int] | None = None
+    __slots__ = _fields = ("replacement", "grid")
 
-    def __post_init__(self):
+    def __init__(self, replacement: str = "black", *, grid: tuple[int, int] | None = None):
+        object.__setattr__(self, "replacement", replacement)
+        object.__setattr__(self, "grid", grid)
         if self.replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement {self.replacement!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class EvalCurve:
+class EvalCurve(_Record):
     """Model scores after 0, 1, ..., N of N features moved, with their fractions and trapezoid AUC."""
 
-    scores: np.ndarray
+    __slots__ = _fields = ("scores",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "scores", _readonly(self.scores))
+    def __init__(self, scores: np.ndarray):
+        object.__setattr__(self, "scores", _readonly(scores))
         if self.scores.ndim != 1 or self.scores.size < 2:
             raise ValueError("scores must be a flat vector of at least 2 points")
 
@@ -160,7 +157,7 @@ def _mean_difference(aucs: dict, cfg: EvalConfig) -> float:
 def two_round_difference(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
     """Mean difference score over the black round and the blur/mean round."""
     order = _ranking(model, attribution)
-    aucs = {m: [_auc(row) for row in _round(model, x, replace(cfg, replacement=m))(order)] for m in _two_rounds(cfg)}
+    aucs = {m: [_auc(row) for row in _round(model, x, cfg._replace(replacement=m))(order)] for m in _two_rounds(cfg)}
     return _mean_difference(aucs, cfg)
 
 
@@ -182,7 +179,7 @@ def make_method(name: str, **params):
         raise ValueError(f"unknown attribution method {name!r}")
     config = {"neflag": NeflagConfig, "ig": IgConfig, "smoothgrad": SmoothGradConfig}.get(name)
     if config is not None:
-        known = {f.name for f in fields(config)}
+        known = set(config._fields)
     else:
         known = {"epsilon"} if name == "taylor" else set()
     unknown = sorted(set(params) - known)
@@ -191,13 +188,13 @@ def make_method(name: str, **params):
     cfg = config(**params) if config else None
     if name == "neflag":
         def run(model, x, seed):
-            return neflag_attribute(model, x, replace(cfg, seed=seed))
+            return neflag_attribute(model, x, cfg._replace(seed=seed))
     elif name == "ig":
         def run(model, x, seed):
             return integrated_gradients(model, x, cfg)
     elif name == "smoothgrad":
         def run(model, x, seed):
-            return smoothgrad(model, x, replace(cfg, seed=seed))
+            return smoothgrad(model, x, cfg._replace(seed=seed))
     elif name == "saliency":
         def run(model, x, seed):
             return saliency(model, x)
@@ -216,40 +213,29 @@ def make_method(name: str, **params):
     return run
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class MethodResult(_ValueRecord):
     """Per-method aggregate of the benchmark."""
 
-    method: str
-    deletion_mean: float
-    deletion_se: float
-    insertion_mean: float
-    insertion_se: float
-    difference_mean: float
-    difference_se: float
-    samples_ok: int
-    samples_failed: int
+    __slots__ = _fields = ("method", "deletion_mean", "deletion_se", "insertion_mean", "insertion_se",
+                           "difference_mean", "difference_se", "samples_ok", "samples_failed")
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    results: tuple
-    replacement: str
-    seed: int
+class BenchmarkReport(_ValueRecord):
+    __slots__ = _fields = ("results", "replacement", "seed")
 
     def to_json(self) -> dict:
         return {
             "replacement": self.replacement,
             "seed": self.seed,
-            "methods": [vars(r) for r in self.results],
+            "methods": [r._asdict() for r in self.results],
         }
 
     def json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
     def csv_str(self) -> str:
-        lines = [",".join(f.name for f in fields(MethodResult))]
-        lines += [",".join(str(v) for v in vars(r).values()) for r in self.results]
+        lines = [",".join(MethodResult._fields)]
+        lines += [",".join(str(v) for v in r._asdict().values()) for r in self.results]
         return "\n".join(lines) + "\n"
 
 
@@ -286,7 +272,7 @@ def benchmark(
         aucs = {name: {} for name in orders}
         try:
             for mode in dict.fromkeys((own, *_two_rounds(cfg))):
-                rnd = _round(model, x, replace(cfg, replacement=mode))
+                rnd = _round(model, x, cfg._replace(replacement=mode))
                 for name, order in orders.items():
                     aucs[name][mode] = [_auc(row) for row in rnd(order)]  # no EvalCurve: only its AUC is read
                 del rnd  # one round alive at a time

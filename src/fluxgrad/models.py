@@ -21,7 +21,6 @@ threads.  Evaluation and gradients are vectorized internally; the public
 """
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -92,19 +91,73 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Head:
+class _Record:
+    """Base of the records: ``__init__`` sets each field of ``_fields``, the ``__slots__``, once; none is set or
+    deleted after.  ``_args`` names the fields ``__init__`` takes, if not all.  Records compare by identity; a
+    copy or a pickle is rebuilt through ``__init__``, so it is checked and frozen as the original was."""
+
+    __slots__ = ()
+    _fields = ()
+    _args = None
+
+    def __init__(self, *args, **kwargs):  # a record without checks: each field once, in order or by name
+        if len(args) + len(kwargs) != len(self._fields) or not kwargs.keys() <= set(self._fields[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes each of {', '.join(self._fields)} once")
+        for name, value in (*zip(self._fields, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def _asdict(self) -> dict:
+        """The fields ``__init__`` takes, by name, as namedtuple's ``_asdict``."""
+        return {f: getattr(self, f) for f in self._args or self._fields}
+
+    def _replace(self, **changes):
+        """A new record with ``changes`` made, as namedtuple's ``_replace``."""
+        for f in self._args or self._fields:
+            changes.setdefault(f, getattr(self, f))
+        return type(self)(**changes)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._asdict())
+
+
+def _rebuild(cls, kwargs):
+    return cls(**kwargs)
+
+
+class _ValueRecord(_Record):
+    """A record equal to one of its class whose fields are equal, and hashed by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+
+class Head(_Record):
     """Output head: identity, sigmoid, or softmax over K logits.
 
     For softmax heads ``target`` selects the class whose probability is
     explained; ``use_logit`` switches to the pre-softmax logit instead.
     """
 
-    type: str = "identity"
-    target: int | None = None
-    use_logit: bool = False
+    __slots__ = _fields = ("type", "target", "use_logit")
 
-    def __post_init__(self):
+    def __init__(self, type: str = "identity", target: int | None = None, use_logit: bool = False):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "use_logit", use_logit)
         if self.type not in HEADS:
             raise ValueError(f"unknown head type {self.type!r}")
         if self.type == "softmax" and self.target is None:
@@ -117,15 +170,13 @@ class Head:
             raise ValueError(f"{self.type} head takes no target or logit setting")
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
-    activation: str = "identity"
+class Layer(_Record):
+    __slots__ = _fields = ("weight", "bias", "activation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _readonly(np.atleast_2d(self.weight)))
-        object.__setattr__(self, "bias", _readonly(self.bias))
+    def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = "identity"):  # (out, in), (out,)
+        object.__setattr__(self, "weight", _readonly(np.atleast_2d(weight)))
+        object.__setattr__(self, "bias", _readonly(bias))
+        object.__setattr__(self, "activation", activation)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.weight.shape[0] != self.bias.size:
@@ -168,8 +219,7 @@ def _checked_params(kind: str, params):
     return params, n
 
 
-@dataclass(frozen=True, eq=False)
-class Model:
+class Model(_Record):
     """A scalar-valued differentiable function f: R^N -> R.
 
     ``params`` is a checked tuple of read-only copies of the arrays given,
@@ -178,15 +228,15 @@ class Model:
     gauss-mixture, and the :class:`Layer` objects, input layer first, for mlp.
     """
 
-    kind: str
-    dim: int = field(init=False)
-    params: tuple
-    head: Head = field(default_factory=Head)
+    __slots__ = _fields = ("kind", "dim", "params", "head")
+    _args = ("kind", "params", "head")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: tuple, head: Head = Head()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "head", head)
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        params, n = _checked_params(self.kind, self.params)
+        params, n = _checked_params(self.kind, params)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "dim", n)
         if n < 1:

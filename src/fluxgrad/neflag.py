@@ -24,28 +24,24 @@ one more call at the final points gives the flux.  Each draw takes one
 (n_samples, N) block of sphere points from one generator, row i for sample i.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, NonFiniteInput, OffSphere, StationaryGradient
 from .geometry import _row_norms, sphere_points
-from .models import Model, _check_input, _readonly, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
 
 
-@dataclass(frozen=True, eq=False)
-class SphereSpec:
+class SphereSpec(_Record):
     """The epsilon-sphere S_x: a finite center x and a radius epsilon with x + epsilon > x in every entry."""
 
-    center: np.ndarray
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", _readonly(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+    def __init__(self, center: np.ndarray, radius: float):
+        object.__setattr__(self, "center", _readonly(center))
+        object.__setattr__(self, "radius", float(radius))
         if not 0 < self.radius < np.inf:
             raise ValueError("sphere radius must be positive and finite")
         if not (self.center + self.radius > self.center).all():  # one vector pass finds NaN, inf and a lost radius
@@ -62,8 +58,7 @@ class SphereSpec:
         return np.asarray(point, dtype=float) - self.center
 
 
-@dataclass(frozen=True, eq=False)
-class FluxPoint:
+class FluxPoint(_Record):
     """A surface point with its gradient, unit normal, and signed flux.
 
     ``flux`` is the exact dot product F(x~) . n; ``approx_flux`` is the
@@ -71,10 +66,7 @@ class FluxPoint:
     evaluation.
     """
 
-    location: np.ndarray
-    gradient: np.ndarray
-    normal: np.ndarray
-    approx_flux: float
+    __slots__ = _fields = ("location", "gradient", "normal", "approx_flux")
 
     @property
     def flux(self) -> float:
@@ -85,8 +77,7 @@ class FluxPoint:
         return self.flux < 0.0
 
 
-@dataclass(frozen=True)
-class NeflagConfig:
+class NeflagConfig(_ValueRecord):
     """Knobs of the negative-flux search and aggregation.
 
     ``n_samples`` negative-flux points are aggregated; each is found by
@@ -95,13 +86,15 @@ class NeflagConfig:
     max_steps=1.
     """
 
-    epsilon: float = 0.1
-    n_samples: int = 20
-    max_steps: int = 1
-    step_rule: str = "sign"
-    seed: int = 0
+    __slots__ = _fields = ("epsilon", "n_samples", "max_steps", "step_rule", "seed")
 
-    def __post_init__(self):
+    def __init__(self, epsilon: float = 0.1, n_samples: int = 20, max_steps: int = 1, step_rule: str = "sign",
+                 seed: int = 0):
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "step_rule", step_rule)
+        object.__setattr__(self, "seed", seed)
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.n_samples < 1:
@@ -226,7 +219,9 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         off = x_t - sphere.center
         dist = _row_norms(off)
         if not dist.all():
-            go_on = fail(dist == 0.0, OffSphere("candidate point coincides with the sphere center"))
+            go_on = fail(dist == 0.0, OffSphere(
+                f"candidate point coincides with the sphere center: radius {sphere.radius:g} is lost in rounding "
+                f"at a center of magnitude {abs(sphere.center).max():.3g}"))
             x_t, off, dist = x_t[go_on], off[go_on], dist[go_on]
         normals = off / dist[:, None]
         g = gradient_batch(model, x_t)

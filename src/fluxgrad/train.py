@@ -6,21 +6,18 @@ attribution and evaluation machinery, not to be good classifiers.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (Head, Layer, Model, _mlp_backward, _mlp_forward, _raw_batch, expit,
+from .models import (Head, Layer, Model, _mlp_backward, _mlp_forward, _raw_batch, _ValueRecord, expit,
                      mlp_model, softmax)
 
 
-@dataclass
-class FitResult:
+class FitResult(_ValueRecord):
     """Trained model plus final training loss and accuracy."""
 
-    model: Model
-    loss: float
-    accuracy: float
+    __slots__ = _fields = ("model", "loss", "accuracy")
+    __hash__ = None  # unhashable, as when it was a mutable record
 
 
 def _init_layers(rng, sizes, activation):

@@ -5,9 +5,9 @@ module-level function or class is referenced somewhere in ``src/``, no
 module-level assignment gives a second name to something that already has
 one, every field of a method or evaluation config is set as a keyword by
 some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
-one place that makes an array read-only, and ``geometry._row_norms`` the one
-that takes row norms.  ``__init__.py`` re-exports
-names it does not use, so it is only searched for references.
+one place that makes an array read-only, ``geometry._row_norms`` the one
+that takes row norms, and no module imports ``dataclasses``.  ``__init__.py``
+re-exports names it does not use, so it is only searched for references.
 """
 
 import ast
@@ -76,12 +76,13 @@ CONFIGS = ("NeflagConfig", "IgConfig", "SmoothGradConfig", "EvalConfig")
 def test_every_config_field_is_set_outside_the_tests():
     # a field only the tests set is a setting no caller needs
     fields = {
-        f"{node.name}.{stmt.target.id}"
+        f"{node.name}.{field.value}"
         for tree in TREES.values()
         for node in tree.body
         if isinstance(node, ast.ClassDef) and node.name in CONFIGS
         for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and stmt.target.id != "_"  # ``_: KW_ONLY``
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "_fields" for t in stmt.targets)
+        for field in stmt.value.elts  # ``__slots__ = _fields = ("name", ...)``
     }
     assert len({f.split(".")[0] for f in fields}) == len(CONFIGS)
     set_by_callers = {
@@ -92,6 +93,18 @@ def test_every_config_field_is_set_outside_the_tests():
         for kw in node.keywords
     }
     assert sorted(f for f in fields if f.split(".")[1] not in set_by_callers) == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_dataclasses(module):
+    # each decoration compiles its generated methods at import; models._Record needs no code generation
+    imports = [
+        ast.unparse(node)
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert imports == []
 
 
 def test_only_models_readonly_freezes_arrays():

@@ -470,3 +470,14 @@ def test_row_norms_equal_numpys_bit_for_bit(width):
         got, want = geometry._row_norms(a), np.linalg.norm(a, axis=1)
     assert np.array_equal(got, want)
     assert np.isinf(got).any() and (got == 0.0).any()
+
+
+def test_candidate_on_the_centre_names_the_radius_lost_in_rounding():
+    # ulp(1e15) is 0.125: the sphere passes its check, since 0.1 rounds up to one ulp, but a draw
+    # whose three offsets all fall below half an ulp rounds back onto the centre
+    model = fg.random_mlp(3, hidden=(6,), activation="tanh", seed=1)
+    want = ("candidate point coincides with the sphere center: radius 0.1 is lost in rounding "
+            "at a center of magnitude 1e+15")
+    with pytest.raises(fg.OffSphere) as info:
+        fg.neflag_attribute(model, np.full(3, 1e15), NeflagConfig(step_rule="none"))
+    assert str(info.value) == want
