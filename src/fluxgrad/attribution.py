@@ -1,5 +1,7 @@
 """The per-feature attribution container and its file formats."""
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .errors import NonFiniteAttribution
@@ -24,11 +26,16 @@ class AttributionMap(_Record):
             raise NonFiniteAttribution("attribution values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "method", method)
-        object.__setattr__(self, "params", {} if params is None else params)
+        # a read-only copy whose lists (IG's baseline, Taylor's expansion point) are tuples, not the caller's
+        object.__setattr__(self, "params", MappingProxyType({k: tuple(v) if isinstance(v, list) else v
+                                                             for k, v in (params or {}).items()}))
         object.__setattr__(self, "samples_used", samples_used)
 
     def __len__(self):
         return self.values.size
+
+    def _asdict(self) -> dict:  # params as a fresh dict, which pickles and deep-copies as a mapping view cannot
+        return dict(super()._asdict(), params=dict(self.params))
 
     def to_json(self) -> dict:
         doc = dict(self._asdict(), values=self.values.tolist())
@@ -38,7 +45,7 @@ class AttributionMap(_Record):
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttributionMap":
-        return cls(doc["values"], doc["method"], dict(doc.get("params", {})), doc.get("samples_used"))
+        return cls(doc["values"], doc["method"], doc.get("params"), doc.get("samples_used"))
 
     def csv_str(self) -> str:
         """Flat CSV: feature index, attribution value."""

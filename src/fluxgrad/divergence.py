@@ -8,7 +8,8 @@ differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
 reach the model in row blocks (``models._row_blocks``) of at most 128 KiB of
 (rows x N) gradients, or of (rows x width) at an mlp's widest layer; a
 gauss-mixture's (rows x C x N) gradient terms are C times that, and an mlp's
-volume block holds the (N x K2 x rows) tangents of all N input directions.
+volume block holds the (N x K2 x rows) tangents of all N input directions, which the
+head contracts direction by direction, with no (rows x K x K) Gram matrix.
 ``laplacian_batch`` takes every point and runs the blocks itself; the ball's
 points are one draw scaled and shifted in place, and the surface side draws
 each block's directions in turn, the same stream as one draw.  The heads reduce
@@ -20,7 +21,8 @@ import json
 import numpy as np
 
 from .geometry import ball_points, ball_volume, sphere_area, sphere_directions
-from .models import Model, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch, laplacian_batch
+from .models import (Model, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch,
+                     laplacian_batch)
 from .neflag import SphereSpec
 
 SUBSETS = ("all", "negative", "positive")
@@ -36,10 +38,8 @@ class IntegralEstimate(_Record):
 
     __slots__ = _fields = ("value", "standard_error", "samples")
 
-    def __init__(self, value, standard_error, samples: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "standard_error", standard_error)
-        object.__setattr__(self, "samples", samples)
+    def __init__(self, value, standard_error, samples: int):  # a vector is held as a read-only copy
+        super().__init__(*(float(v) if np.ndim(v) == 0 else _readonly(v) for v in (value, standard_error)), samples)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 

@@ -75,8 +75,7 @@ def _act_derivs(name, a):
     """First and second derivatives of a smooth activation from its output ``a`` (tanh's 1 - a^2 in one buffer);
     an identity layer's are ones and zeros, which :func:`_mlp_laplacian` asks for only at the first layer."""
     if name == "tanh":
-        d = a * a
-        np.subtract(1.0, d, out=d)
+        d = _act_deriv(name, None, a)
         return d, -2.0 * a * d
     if name == "softplus":  # expit(z) = 1 - e^-a
         d = -np.expm1(-a)
@@ -344,18 +343,16 @@ def _first_stage(model: Model, xs):
     return ((xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
-def _feature_terms(model: Model, v):
-    """phi_j(v_j), the first-stage term of each feature of the vector v; shape (N, m)."""
-    p = model.params
+def _feature_terms(model: Model, v, rows):
+    """phi_j(v_j), the first-stage term of each feature j in ``rows`` of the vector v; shape (rows, m)."""
+    p, v = model.params, v[rows]
     if model.kind == "mlp":
-        return v[:, None] * p[0].weight.T
+        return v[:, None] * p[0].weight.T[rows]
     if model.kind == "linear":
-        return (v * p[0])[:, None]
-    if model.kind == "quadratic":
-        lam, c = p
-        return (lam * (v - c) ** 2)[:, None]
-    centers = p[1]
-    return (v[:, None] - centers.T) ** 2
+        return (v * p[0][rows])[:, None]
+    if model.kind == "quadratic":  # lambda_j (v_j - c_j)^2
+        return (p[0][rows] * (v - p[1][rows]) ** 2)[:, None]
+    return (v[:, None] - p[1].T[rows]) ** 2
 
 
 def _rest(model: Model, s):
@@ -408,8 +405,9 @@ def evaluate_batch(model: Model, xs) -> np.ndarray:
 def path_change(model: Model, start, target):
     """First stages of start and target, and their (N, m) change phi_j(target_j) - phi_j(start_j)."""
     start, target = (_check_batch(model, v) for v in (start, target))  # every row's entries
-    change = _feature_terms(model, target[0])
-    np.subtract(change, _feature_terms(model, start[0]), out=change)
+    change = _feature_terms(model, target[0], slice(None))
+    for rows in _row_blocks(model, len(change), change.shape[1]):  # start's terms a block at a time, not an (N, m)
+        change[rows] -= _feature_terms(model, start[0], rows)
     return _first_stage(model, start), _first_stage(model, target), change
 
 
@@ -491,35 +489,35 @@ def _laplacian_fold(layers):
 
 
 def _mlp_laplacian(layers, xs, fold):
-    """Raw (n, K) output of an mlp, its Laplacian, and the (n, K, K) Gram matrix of its input gradients.
+    """Raw (n, K) output of an mlp, its (n, K) Laplacian, and the (N, K, n) tangents of its input directions.
 
     The forward Laplacian of Li et al. (arXiv 2307.08214): a layer's is s'(z) * (W @ the previous layer's)
     + s''(z) * |grad z|^2.  The pass runs on (width, n) columns, and the tangents of all N input directions
     go together in one direction-major (N, width, n) array ``t``, so each layer is one product.  The first
     layer's never exist: ``fold``, the layers' :func:`_laplacian_fold`, takes the (width1, n) slopes straight
-    to z2's.  At the end ``t[i]`` is the (K, n) Jacobian column of input direction i.
+    to z2's.  At the end ``t[i]`` is the (K, n) Jacobian column of input direction i, which the head reads.
     """
     a, slopes = xs.T, []
     for k, layer in enumerate(layers):  # a later identity layer's slopes, 1 and 0, are never formed
-        a = _act(layer.activation, layer.weight @ a + layer.bias[:, None])
+        a = layer.weight @ a
+        a = _act(layer.activation, np.add(a, layer.bias[:, None], out=a))  # the product biased in place
         slopes.append(None if k and layer.activation == "identity" else _act_derivs(layer.activation, a))
-    w1 = layers[0].weight
     t = (fold @ slopes[0][0]).reshape(xs.shape[1], len(fold) // xs.shape[1], len(xs))
-    lap = slopes[0][1] * np.sum(w1 * w1, axis=1)[:, None]  # |grad z1|^2 is the same on every row
+    lap = np.multiply(slopes[0][1], np.sum(layers[0].weight ** 2, axis=1)[:, None], out=slopes[0][1])  # into s''
     for k, layer in enumerate(layers[1:], 1):
         t, lap = t if k == 1 else layer.weight @ t, layer.weight @ lap
         if slopes[k]:  # the tangents' |grad z|^2 before they go through s'(z)
             lap = slopes[k][0] * lap + slopes[k][1] * np.einsum("ikn,ikn->kn", t, t)
             t *= slopes[k][0]
-    return a.T, lap.T, np.einsum("ikn,iln->nkl", t, t)
+    return a.T, lap.T, t
 
 
 def laplacian_batch(model: Model, xs) -> np.ndarray:
     """Laplacian (the trace of the Hessian) of the headed output at every row of xs; shape (n,).
 
-    Exact: closed forms, or the forward Laplacian of an mlp, then the head's chain
-    rule g'(raw) . Laplacian + sum_kl g''_kl (grad raw_k . grad raw_l).  The rows go in
-    :func:`_row_blocks` of N-wide gradients, and an mlp's fold is built once for all of them.
+    Exact: closed forms, or the forward Laplacian of an mlp, then the head's chain rule g'(raw) . Laplacian +
+    sum_kl g''_kl (grad raw_k . grad raw_l), read as sums over input directions of tangent projections, with no
+    K x K matrix.  The rows go in :func:`_row_blocks` of N-wide gradients, and an mlp's fold is built once.
     """
     _require_smooth(model)
     xs = _check_batch(model, xs)
@@ -529,13 +527,14 @@ def laplacian_batch(model: Model, xs) -> np.ndarray:
 
 
 def _block_laplacian(model: Model, xs, fold):
-    """:func:`laplacian_batch` of one block of checked rows, given an mlp's fold."""
+    """:func:`laplacian_batch` of checked rows, given an mlp's fold; a closed form's (N, 1, n) tangents t are its
+    raw gradient.  Softmax's u'Gu - p.diag(G) + p'Gp, G = sum_i t_i t_i', is sum_i (u.t_i)^2 - p.t_i^2 + (p.t_i)^2."""
     if model.kind == "mlp":
-        raw, lap, gram = _mlp_laplacian(model.params, xs, fold)
+        raw, lap, t = _mlp_laplacian(model.params, xs, fold)
     else:
         s = _first_stage(model, xs)
         raw = _rest(model, s)[0]
-        gram = np.sum(_raw_grad_batch(model, xs, None, np.ones_like(raw)) ** 2, axis=1)[:, None, None]
+        t = _raw_grad_batch(model, xs, None, np.ones_like(raw)).T[:, None]
         if model.kind == "linear":
             lap = np.zeros_like(raw)
         elif model.kind == "quadratic":
@@ -548,11 +547,12 @@ def _block_laplacian(model: Model, xs, fold):
         return lap[:, h.target or 0]
     if h.type == "sigmoid":
         p = expit(raw[:, 0])
-        return p * (1.0 - p) * (lap[:, 0] + (1.0 - 2.0 * p) * gram[:, 0, 0])
+        return p * (1.0 - p) * (lap[:, 0] + (1.0 - 2.0 * p) * np.einsum("ikn,ikn->n", t, t))
     p = softmax(raw)
-    u = np.eye(p.shape[1])[h.target] - p
-    quad_u, quad_p = (np.einsum("nk,nkl,nl->n", v, gram, v) for v in (u, p))
-    return p[:, h.target] * (np.sum(u * lap, axis=1) + quad_u - np.einsum("nkk,nk->n", gram, p) + quad_p)
+    a = np.einsum("ikn,kn->in", t, p.T)  # p . t_i
+    d = t[:, h.target] - a  # u . t_i
+    quad = np.einsum("in,in->n", d, d) - np.einsum("ikn,ikn,kn->n", t, t, p.T) + np.einsum("in,in->n", a, a)
+    return p[:, h.target] * (np.sum((np.eye(p.shape[1])[h.target] - p) * lap, axis=1) + quad)
 
 
 def evaluate(model: Model, x) -> float:

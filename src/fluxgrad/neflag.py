@@ -68,6 +68,9 @@ class FluxPoint(_Record):
 
     __slots__ = _fields = ("location", "gradient", "normal", "approx_flux")
 
+    def __init__(self, location, gradient, normal, approx_flux: float):  # the arrays as read-only copies
+        super().__init__(_readonly(location), _readonly(gradient), _readonly(normal), approx_flux)
+
     @property
     def flux(self) -> float:
         return float(self.gradient @ self.normal)

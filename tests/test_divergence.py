@@ -268,7 +268,7 @@ def _per_direction_laplacian(layers, xs):
         a = models._act(layer.activation, a @ layer.weight.T + layer.bias)
         slopes.append(models._act_derivs(layer.activation, a))
     sq = [np.zeros_like(d1) for d1, _ in slopes]
-    gram = np.zeros((len(xs), a.shape[1], a.shape[1]))
+    tangents = []
     for i in range(xs.shape[1]):
         t = np.zeros(xs.shape[1])
         t[i] = 1.0
@@ -276,11 +276,11 @@ def _per_direction_laplacian(layers, xs):
             t = t @ layer.weight.T
             s += t * t
             t = d1 * t
-        gram += t[:, :, None] * t[:, None, :]
+        tangents.append(t.T)  # direction i's (K, n) Jacobian column
     lap = np.zeros(xs.shape[1])
     for layer, (d1, d2), s in zip(layers, slopes, sq):
         lap = d1 * (lap @ layer.weight.T) + d2 * s
-    return a, lap, gram
+    return a, lap, np.stack(tangents)
 
 
 MLP_NETS = {name: m for name, m in {**LAPLACIAN_ZOO, **DEEP_AND_WIDE_NETS}.items() if m.kind == "mlp"}
@@ -312,7 +312,7 @@ def _unit_slope_laplacian(layers, xs, fold):
     lap = slopes[0][1] * sq[0]
     for layer, (d1, d2), s in zip(layers[1:], slopes[1:], sq[1:]):
         lap = d1 * (layer.weight @ lap) + d2 * s
-    return a.T, lap.T, np.einsum("ikn,iln->nkl", t, t)
+    return a.T, lap.T, t
 
 
 def _identity_layer_nets():
@@ -347,6 +347,38 @@ def test_identity_layers_skip_their_unit_slopes_bit_for_bit(model):
     for g, w, slow in zip(got, want, _per_direction_laplacian(model.params, xs)):
         assert g.shape == w.shape and np.array_equal(g, w)
         np.testing.assert_allclose(g, slow, rtol=0, atol=1e-12 * max(1.0, np.abs(slow).max()))
+
+
+def _explicit_gram_laplacian(model, xs):
+    """Reference: the head's chain rule on the (n, K, K) Gram matrix of the raw input gradients, formed explicitly."""
+    if model.kind == "mlp":
+        raw, lap, t = models._mlp_laplacian(model.params, xs, models._laplacian_fold(model.params))
+        gram = np.einsum("ikn,iln->nkl", t, t)
+    else:
+        raw = models._raw_batch(model, xs)[0]
+        lap = fg.laplacian_batch(model._replace(head=fg.Head()), xs)[:, None]  # the raw Laplacian
+        gram = np.sum(models._raw_grad_batch(model, xs, None, np.ones_like(raw)) ** 2, axis=1)[:, None, None]
+    h = model.head
+    if h.type == "identity" or h.use_logit:
+        return lap[:, h.target or 0]
+    if h.type == "sigmoid":
+        p = models.expit(raw[:, 0])
+        return p * (1.0 - p) * (lap[:, 0] + (1.0 - 2.0 * p) * gram[:, 0, 0])
+    p = models.softmax(raw)
+    u = np.eye(p.shape[1])[h.target] - p
+    quad_u, quad_p = (np.einsum("nk,nkl,nl->n", v, gram, v) for v in (u, p))
+    return p[:, h.target] * (np.sum(u * lap, axis=1) + quad_u - np.einsum("nkk,nk->n", gram, p) + quad_p)
+
+
+HEADED_MODELS = {**LAPLACIAN_ZOO, **DEEP_AND_WIDE_NETS}
+
+
+@pytest.mark.parametrize("model", HEADED_MODELS.values(), ids=HEADED_MODELS.keys())
+def test_head_reads_the_tangents_as_the_explicit_gram_chain_rule_does(model):
+    # the head contracts the tangents direction by direction; u'Gu, p.diag(G) and p'Gp summed in another order
+    xs = np.random.default_rng(7).normal(scale=0.8, size=(300, model.dim))
+    want = _explicit_gram_laplacian(model, xs)
+    np.testing.assert_allclose(fg.laplacian_batch(model, xs), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 def test_report_checks_the_gradient(monkeypatch):

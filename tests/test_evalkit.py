@@ -313,9 +313,10 @@ def test_benchmark_counts_a_non_finite_map_as_a_failed_sample():
     model = fg.linear_model([2.0, 3.0])
     inputs = [np.array([1.0, 1.0]), np.array([0.5, 2.0])]
     methods = {"ig": make_method("ig", baseline=np.full(2, -1e308)), "saliency": make_method("saliency")}
-    with pytest.raises(fg.NonFiniteAttribution):
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(fg.NonFiniteAttribution):
         methods["ig"](model, inputs[0], 0)
-    ig, sal = fg.benchmark(model, inputs, methods, EvalConfig("black")).results
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ig, sal = fg.benchmark(model, inputs, methods, EvalConfig("black")).results
     assert (ig.samples_ok, ig.samples_failed) == (0, 2) and np.isnan(ig.deletion_mean)
     assert (sal.samples_ok, sal.samples_failed) == (2, 0)
     assert np.all(np.isfinite([sal.deletion_mean, sal.insertion_mean, sal.difference_mean]))

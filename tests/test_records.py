@@ -66,7 +66,8 @@ FIELDS = {
 
 BY_VALUE = {"SmoothGradConfig", "NeflagConfig", "EvalConfig", "MethodResult", "BenchmarkReport",
             "DivergenceTheoremReport", "FitResult"}
-FREEZES_ARRAYS = {"Layer", "Model", "AttributionMap", "IgConfig", "EvalCurve", "SphereSpec"}
+HOLDS_ARRAYS = {"Layer", "Model", "AttributionMap", "IgConfig", "EvalCurve", "SphereSpec", "FluxPoint",
+                "IntegralEstimate", "FitResult"}
 
 
 def _model_bytes(model):
@@ -176,13 +177,34 @@ def test_copies_are_checked_frozen_and_give_the_same_outputs(name, how):
     before = OUTPUTS[name](obj)
     got = [a.flags.writeable for a in _arrays(dup)]
     assert got == [a.flags.writeable for a in _arrays(obj)]
-    if name in FREEZES_ARRAYS:
-        assert got and not any(got)
-        for a in _arrays(dup):
-            with pytest.raises(ValueError):
-                a.flat[0] = 1.0
+    assert bool(got) == (name in HOLDS_ARRAYS) and not any(got)  # every array a record holds is read-only
+    for a in _arrays(dup):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
     assert OUTPUTS[name](dup) == before
     assert OUTPUTS[name](obj) == before
+
+
+def test_records_keep_their_values_when_the_caller_changes_what_it_passed():
+    x_t, value, se = X + np.array([0.0, 0.25, 0.0]), np.array([1.0, -2.0]), np.array([0.1, 0.2])
+    params = {"epsilon": 0.1, "baseline": [0.0, 1.0]}
+    point = fg.flux_at(MODEL, fg.SphereSpec(X, 0.25), x_t)
+    est = fg.IntegralEstimate(value, se, 5)
+    amap = fg.AttributionMap([0.5, -1.5], "ig", params)
+    x_t[0], value[0], se[0], params["epsilon"] = 5.0, 5.0, 5.0, 9.0
+    params["baseline"].append(2.0)
+    assert np.array_equal(point.location, X + np.array([0.0, 0.25, 0.0]))
+    assert np.array_equal(est.value, [1.0, -2.0]) and np.array_equal(est.standard_error, [0.1, 0.2])
+    assert amap.params == {"epsilon": 0.1, "baseline": (0.0, 1.0)}
+    with pytest.raises(TypeError):
+        amap.params["epsilon"] = 1.0
+    with pytest.raises(AttributeError):
+        amap.params["baseline"].append(2.0)
+    doc = amap.to_json()
+    doc["params"]["epsilon"] = 2.0
+    assert amap.params["epsilon"] == 0.1 and amap.to_json()["params"] is not doc["params"]
+    assert json.dumps(doc["params"]) == '{"epsilon": 2.0, "baseline": [0.0, 1.0]}'
+    assert type(fg.IntegralEstimate(1.0, 0.5, 3).value) is float  # a scalar stays a Python float
 
 
 def test_pickled_model_keeps_its_output_when_the_original_is_gone():
