@@ -5,22 +5,21 @@ The volume side integrates the exact Laplacian, from a forward-mode pass
 the reverse-mode gradient, dot-product or element-wise, optionally over a
 flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
 differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
-reach the model in row blocks (``models._row_blocks``) of at most 128 KiB of
-(rows x N) gradients, or of (rows x width) at an mlp's widest layer; a
-gauss-mixture's (rows x C x N) gradient terms are C times that, and an mlp's
-volume block holds the (N x K2 x rows) tangents of all N input directions, which the
-head contracts direction by direction, with no (rows x K x K) Gram matrix.
-``laplacian_batch`` takes every point and runs the blocks itself; the ball's
-points are one draw scaled and shifted in place, and the surface side draws
-each block's directions in turn, the same stream as one draw.  The heads reduce
-across logit columns: a softmax max is one ``np.maximum`` pass per column.
+draw antithetic pairs: each direction u is used twice, as u and as exactly -u,
+so ``samples`` model rows take ceil(samples / 2) directions and an odd count's
+last row is unpaired.  An estimate's units are the pair means (and that row),
+and its value and standard error are theirs.  Both sides reach the model in
+row blocks (``models._row_blocks``) of at most 128 KiB of (rows x N)
+gradients, or of (rows x width) at an mlp's widest layer; the surface side
+draws each block's directions in turn, the same stream as one draw, and
+``laplacian_batch`` takes every ball point and runs the blocks itself.
 """
 
 import json
 
 import numpy as np
 
-from .geometry import ball_points, ball_volume, sphere_area, sphere_directions
+from .geometry import ball_volume, sphere_area, sphere_directions
 from .models import (Model, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch,
                      laplacian_batch)
 from .neflag import SphereSpec
@@ -44,14 +43,24 @@ class IntegralEstimate(_Record):
             raise ValueError("samples must be >= 1")
 
 
+def _mirrored(u: np.ndarray, k: int) -> np.ndarray:
+    """k rows: each row of u, then its exact negation, in turn; an odd k's last row is u's last, unpaired."""
+    rows = np.empty((k, u.shape[1]))
+    rows[::2] = u
+    np.negative(u[:k // 2], out=rows[1::2])
+    return rows
+
+
 def _estimate(vals: np.ndarray, scale: float) -> IntegralEstimate:
-    """scale * the mean row of vals, and its standard error; floats if vals is a vector."""
-    n = len(vals)
-    value = scale * vals.mean(axis=0)
-    se = scale * vals.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(value)
-    if vals.ndim == 1:
+    """scale * the mean of the units of vals, rows laid out as :func:`_mirrored` lays out their points, and its
+    standard error; floats if vals is a vector.  The units are each pair's mean, then an odd count's last row."""
+    units = np.concatenate((0.5 * (vals[:-1:2] + vals[1::2]), vals[len(vals) - len(vals) % 2:]))
+    n = len(units)
+    value = scale * units.mean(axis=0)
+    se = scale * units.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(value)
+    if units.ndim == 1:
         value, se = float(value), float(se)
-    return IntegralEstimate(value, se, n)
+    return IntegralEstimate(value, se, len(vals))
 
 
 def divergence_fd(model: Model, x) -> float:
@@ -72,11 +81,19 @@ def divergence_fd(model: Model, x) -> float:
 def volume_divergence_integral(
     model: Model, ball: SphereSpec, samples: int, seed: int = 0
 ) -> IntegralEstimate:
-    """Monte-Carlo estimate of the divergence integrated over the solid ball the sphere ``ball`` encloses."""
+    """Monte-Carlo estimate of the divergence integrated over the solid ball the sphere ``ball`` encloses.
+
+    The ``samples`` points are pairs c + r u and c - r u, one radius r = radius * U^(1/N) a direction u; the
+    standard error is the pair means' (an odd count's last point is a unit on its own).
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = ball_points(rng, samples, ball.center, ball.radius)
+    rng, pairs = np.random.default_rng(seed), samples - samples // 2
+    offsets = sphere_directions(rng, pairs, ball.dim)
+    offsets *= (ball.radius * rng.random(pairs) ** (1.0 / ball.dim))[:, None]  # scaled in place
+    pts = _mirrored(offsets, samples)
+    del offsets  # freed before the Laplacian's block temporaries
+    pts += ball.center
     return _estimate(laplacian_batch(model, pts), ball_volume(ball.dim, ball.radius))
 
 
@@ -94,6 +111,8 @@ def surface_flux_integral(
     the vector F * n per coordinate.  ``subset`` restricts to points whose
     dot-product flux is negative (< 0) or positive (>= 0); excluded points
     contribute zero, so negative + positive = all on the same sample set.
+    The ``samples`` points are pairs c + eps u with normal u and c - eps u with normal -u; the standard error
+    is the pair means' (an odd count's last point is a unit on its own), and a uniform field's flux is 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -102,8 +121,9 @@ def surface_flux_integral(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng, vals = np.random.default_rng(seed), []
-    for rows in _row_blocks(model, samples, model.dim):  # block draws continue one stream: the same normals as one draw
-        normals = sphere_directions(rng, rows.stop - rows.start, sphere.dim)
+    for rows in _row_blocks(model, samples, model.dim, unit=2):  # block draws continue one stream
+        k = rows.stop - rows.start
+        normals = _mirrored(sphere_directions(rng, k - k // 2, sphere.dim), k)
         grads = gradient_batch(model, sphere.center + sphere.radius * normals)
         flux = np.einsum("ij,ij->i", grads, normals)
         if subset == "all":  # no mask: every point counts
@@ -150,7 +170,10 @@ def divergence_theorem_report(
     seed: int = 0,
 ) -> DivergenceTheoremReport:
     """Cross-check the volume divergence integral against the surface flux; see
-    :attr:`DivergenceTheoremReport.passed` for the verdict."""
+    :attr:`DivergenceTheoremReport.passed` for the verdict.  Each side needs two units (two pairs, or a pair
+    and an odd count's last row) for a standard error, so fewer than 3 samples are refused."""
+    if samples < 3:
+        raise ValueError("samples must be >= 3")
     ss = np.random.SeedSequence(seed)
     kids = ss.spawn(2)
     lhs = volume_divergence_integral(

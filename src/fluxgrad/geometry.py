@@ -56,18 +56,3 @@ def sphere_points(
     center = np.asarray(center, dtype=float)
     return center + radius * sphere_directions(rng, n, center.size)
 
-
-def ball_points(
-    rng: np.random.Generator, n: int, center: np.ndarray, radius: float
-) -> np.ndarray:
-    """Draw n points uniformly in the solid ball around center.
-
-    Uniform direction times radius scaled by U^(1/dim), which is exact in
-    any dimension; the directions are scaled and shifted in place.
-    """
-    center = np.asarray(center, dtype=float)
-    dim = center.size
-    dirs = sphere_directions(rng, n, dim)
-    r = radius * rng.random(n) ** (1.0 / dim)
-    dirs *= r[:, None]
-    return np.add(dirs, center, out=dirs)

@@ -411,11 +411,12 @@ def path_change(model: Model, start, target):
     return _first_stage(model, start), _first_stage(model, target), change
 
 
-def _row_blocks(model: Model, n: int, width: int) -> list:
-    """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES; an mlp's width is its widest layer."""
+def _row_blocks(model: Model, n: int, width: int, unit: int = 1) -> list:
+    """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES and, but the last, a multiple of
+    unit rows (at least one unit); an mlp's width is its widest layer."""
     if model.kind == "mlp":
         width = max(layer.weight.shape[0] for layer in model.params)
-    rows = max(1, _BLOCK_BYTES // (8 * width))
+    rows = max(1, _BLOCK_BYTES // (8 * width) // unit) * unit
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 

@@ -53,7 +53,7 @@ class TestSurfaceFluxIntegral:
     def test_uniform_field_zero_total_flux(self):
         m = fg.linear_model([1.0, -2.0, 0.5])
         est = fg.surface_flux_integral(m, SphereSpec(np.zeros(3), 1.0), 20000, seed=0)
-        assert abs(est.value) < 3.0 * est.standard_error
+        assert est.value == 0.0  # each pair's normals are u and exactly -u, so its fluxes cancel exactly
 
     def test_quadratic_total_flux_equals_divergence_integral(self):
         m = fg.quadratic_model([1.0, 2.0])
@@ -391,6 +391,54 @@ def test_report_checks_the_gradient(monkeypatch):
     assert not fg.divergence_theorem_report(model, sphere, 20000, seed=1).passed
 
 
+def test_pairs_fail_a_gradient_10_percent_too_large_at_the_cli_default(monkeypatch):
+    # with one draw per row this report passed: diff 2.0e-4 against a standard error of 5.3e-4
+    model = fg.random_mlp(4, hidden=(8,), out_dim=3, activation="tanh", seed=1, head=fg.Head("softmax", target=0))
+    sphere = SphereSpec(np.zeros(4), 0.5)
+    assert fg.divergence_theorem_report(model, sphere, 100_000).passed
+    exact = fg.divergence.gradient_batch
+    monkeypatch.setattr(fg.divergence, "gradient_batch", lambda m, xs: 1.1 * exact(m, xs))
+    assert not fg.divergence_theorem_report(model, sphere, 100_000).passed
+
+
+@pytest.mark.parametrize("integral", [fg.volume_divergence_integral, fg.surface_flux_integral])
+def test_standard_error_matches_the_spread_across_seeds(integral):
+    # the pairs' standard error, not the rows': rows that are pairs' halves would read several times too wide
+    model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
+    estimates = [integral(model, sphere, 2000, seed=seed) for seed in range(200)]
+    spread = np.std([est.value for est in estimates], ddof=1)
+    reported = np.sqrt(np.mean([est.standard_error ** 2 for est in estimates]))
+    assert reported == pytest.approx(spread, rel=0.2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+def test_pairs_are_a_direction_and_its_exact_negation(k):
+    u = np.random.default_rng(0).standard_normal((k - k // 2, 3))
+    rows = fg.divergence._mirrored(u, k)
+    assert np.array_equal(rows[::2], u) and np.array_equal(rows[1::2], -u[:k // 2])
+
+
+@pytest.mark.parametrize("vals, units", [
+    ([7.0], [7.0]), ([1.0, 3.0], [2.0]), ([1.0, 3.0, 2.0, 6.0, 10.0], [2.0, 4.0, 10.0]),
+    ([[1.0, 0.0], [3.0, -4.0], [5.0, 1.0]], [[2.0, -2.0], [5.0, 1.0]]),  # element-wise rows
+])
+def test_estimate_units_are_pair_means_and_an_odd_last_row(vals, units):
+    est, units = fg.divergence._estimate(np.array(vals), 2.0), np.array(units)
+    se = 2.0 * units.std(axis=0, ddof=1) / np.sqrt(len(units)) if len(units) > 1 else np.zeros_like(units[0])
+    assert est.samples == len(vals)
+    assert np.array_equal(est.value, 2.0 * units.mean(axis=0)) and np.array_equal(est.standard_error, se)
+
+
+def test_a_report_needs_two_units_a_side():
+    # 2 samples are one pair a side, so standard error 0: a correct model's Monte Carlo difference would FAIL
+    model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
+    for samples in (1, 2):
+        with pytest.raises(ValueError, match="samples must be >= 3"):
+            fg.divergence_theorem_report(model, sphere, samples)
+    report = fg.divergence_theorem_report(model, sphere, 3)  # a pair and a lone row a side
+    assert report.combined_standard_error > 0.0 and report.passed
+
+
 def test_exactly_zero_report_passes():
     assert fg.DivergenceTheoremReport(0.0, 0.0, 0.0, 10).passed
     report = fg.divergence_theorem_report(fg.quadratic_model([0.0, 0.0]), SphereSpec(np.zeros(2), 1.0), 1000)
@@ -437,9 +485,6 @@ class _ZeroRowFirst:
             g[self.row], self.row = 0.0, None
         return g
 
-    def random(self, n):
-        return self.rng.random(n)
-
 
 def _out_of_place_directions(rng, n, dim):
     """Reference: sphere_directions as it was, normed in one pass and divided into a new array."""
@@ -455,20 +500,17 @@ def _out_of_place_directions(rng, n, dim):
 @pytest.mark.parametrize("n, dim", [(1, 3), (5000, 8), (50, 784), (17_000, 1)])  # the last three in 3 norm blocks
 @pytest.mark.parametrize("zero_row", [None, 0, -1])
 def test_in_place_draws_equal_the_out_of_place_formulas(n, dim, zero_row):
-    center, radius = np.linspace(-1.0, 2.0, dim), 0.7
     got = geometry.sphere_directions(_ZeroRowFirst(1, zero_row), n, dim)
     assert np.array_equal(got, _out_of_place_directions(_ZeroRowFirst(1, zero_row), n, dim))
-    got = geometry.ball_points(_ZeroRowFirst(2, zero_row), n, center, radius)
-    rng = _ZeroRowFirst(2, zero_row)
-    dirs = _out_of_place_directions(rng, n, dim)
-    assert np.array_equal(got, center + dirs * (radius * rng.random(n) ** (1.0 / dim))[:, None])
 
 
 @pytest.mark.parametrize("samples", [1, 513, 1537])
 def test_surface_block_draws_match_one_whole_draw(samples):
-    # each row block draws its own normals; the stream is the one a single draw of every sample makes
+    # each 512-row block draws the directions of its 256 pairs, the stream one draw of every pair's direction
+    # makes; rows 2j and 2j + 1 take direction j as u and as -u, and an odd count's last row is unpaired
     model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
-    normals = geometry.sphere_directions(np.random.default_rng(4), samples, 8)
+    dirs = geometry.sphere_directions(np.random.default_rng(4), samples - samples // 2, 8)
+    normals = dirs[np.arange(samples) // 2] * np.where(np.arange(samples) % 2, -1.0, 1.0)[:, None]
     grads = np.concatenate([fg.gradient_batch(model, sphere.center + sphere.radius * normals[rows])
                             for rows in models._row_blocks(model, samples, model.dim)])
     flux = np.einsum("ij,ij->i", grads, normals)

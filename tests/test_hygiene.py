@@ -1,7 +1,8 @@
 """Static checks over the package source, with the standard library only.
 
 Every import of a module in ``src/fluxgrad`` is used, every private
-module-level function or class is referenced somewhere in ``src/``, no
+module-level function or class is referenced somewhere in ``src/``, every
+public one is re-exported by ``__init__.py`` or referenced there too, no
 module-level assignment gives a second name to something that already has
 one, every field of a method or evaluation config is set as a keyword by
 some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
@@ -58,6 +59,18 @@ def test_no_unreferenced_private_definition(module):
     ]
     referenced = {name for tree in TREES.values() for name in referenced_names(tree)}
     assert sorted(set(private) - referenced) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unreferenced_public_definition(module):
+    # a public name that __init__ does not re-export (an import there is a reference) and no code names is dead
+    public = [
+        node.name
+        for node in TREES[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    referenced = {name for tree in TREES.values() for name in referenced_names(tree)}
+    assert sorted(set(public) - referenced) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
