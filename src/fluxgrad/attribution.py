@@ -24,12 +24,9 @@ class AttributionMap(_Record):
             raise ValueError("attribution values must be a flat vector")
         if not np.all(np.isfinite(values)):
             raise NonFiniteAttribution("attribution values must be finite")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "method", method)
-        # a read-only copy whose lists (IG's baseline, Taylor's expansion point) are tuples, not the caller's
-        object.__setattr__(self, "params", MappingProxyType({k: tuple(v) if isinstance(v, list) else v
-                                                             for k, v in (params or {}).items()}))
-        object.__setattr__(self, "samples_used", samples_used)
+        # params as a read-only copy whose lists (IG's baseline, Taylor's expansion point) are tuples
+        params = MappingProxyType({k: tuple(v) if isinstance(v, list) else v for k, v in (params or {}).items()})
+        super().__init__(values, method, params, samples_used)
 
     def __len__(self):
         return self.values.size

@@ -5,7 +5,7 @@ import numpy as np
 
 from .attribution import AttributionMap
 from .errors import DimensionMismatch
-from .models import Model, _check_input, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
 
 
 class SmoothGradConfig(_ValueRecord):
@@ -14,13 +14,9 @@ class SmoothGradConfig(_ValueRecord):
     __slots__ = _fields = ("sigma", "samples", "seed")
 
     def __init__(self, sigma: float = 0.1, samples: int = 50, seed: int = 0):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        if not 0 <= self.sigma < np.inf:
+        if not 0 <= sigma < np.inf:
             raise ValueError("sigma must be >= 0 and finite")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        super().__init__(sigma, _count("samples", samples), seed)
 
 
 class IgConfig(_Record):
@@ -29,10 +25,8 @@ class IgConfig(_Record):
     __slots__ = _fields = ("baseline", "steps")
 
     def __init__(self, baseline: np.ndarray | None = None, steps: int = 100):
-        object.__setattr__(self, "steps", steps)
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        object.__setattr__(self, "baseline", baseline if baseline is None else _readonly(baseline))
+        steps = _count("steps", steps)
+        super().__init__(baseline if baseline is None else _readonly(baseline), steps)
 
 
 def saliency(model: Model, x) -> AttributionMap:

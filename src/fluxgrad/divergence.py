@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .geometry import ball_volume, sphere_area, sphere_directions
-from .models import (Model, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch,
+from .models import (Model, _count, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch,
                      laplacian_batch)
 from .neflag import SphereSpec
 
@@ -38,9 +38,8 @@ class IntegralEstimate(_Record):
     __slots__ = _fields = ("value", "standard_error", "samples")
 
     def __init__(self, value, standard_error, samples: int):  # a vector is held as a read-only copy
-        super().__init__(*(float(v) if np.ndim(v) == 0 else _readonly(v) for v in (value, standard_error)), samples)
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        super().__init__(*(float(v) if np.ndim(v) == 0 else _readonly(v) for v in (value, standard_error)),
+                         _count("samples", samples))
 
 
 def _mirrored(u: np.ndarray, k: int) -> np.ndarray:
@@ -86,8 +85,7 @@ def volume_divergence_integral(
     The ``samples`` points are pairs c + r u and c - r u, one radius r = radius * U^(1/N) a direction u; the
     standard error is the pair means' (an odd count's last point is a unit on its own).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count("samples", samples)
     rng, pairs = np.random.default_rng(seed), samples - samples // 2
     offsets = sphere_directions(rng, pairs, ball.dim)
     offsets *= (ball.radius * rng.random(pairs) ** (1.0 / ball.dim))[:, None]  # scaled in place
@@ -118,8 +116,7 @@ def surface_flux_integral(
         raise ValueError(f"unknown mode {mode!r}")
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count("samples", samples)
     rng, vals = np.random.default_rng(seed), []
     for rows in _row_blocks(model, samples, model.dim, unit=2):  # block draws continue one stream
         k = rows.stop - rows.start
@@ -172,8 +169,7 @@ def divergence_theorem_report(
     """Cross-check the volume divergence integral against the surface flux; see
     :attr:`DivergenceTheoremReport.passed` for the verdict.  Each side needs two units (two pairs, or a pair
     and an odd count's last row) for a standard error, so fewer than 3 samples are refused."""
-    if samples < 3:
-        raise ValueError("samples must be >= 3")
+    samples = _count("samples", samples, least=3)
     ss = np.random.SeedSequence(seed)
     kids = ss.spawn(2)
     lhs = volume_divergence_integral(

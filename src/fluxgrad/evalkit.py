@@ -41,10 +41,9 @@ class EvalConfig(_ValueRecord):
     __slots__ = _fields = ("replacement", "grid")
 
     def __init__(self, replacement: str = "black", *, grid: tuple[int, int] | None = None):
-        object.__setattr__(self, "replacement", replacement)
-        object.__setattr__(self, "grid", grid)
-        if self.replacement not in REPLACEMENTS:
-            raise ValueError(f"unknown replacement {self.replacement!r}")
+        if replacement not in REPLACEMENTS:
+            raise ValueError(f"unknown replacement {replacement!r}")
+        super().__init__(replacement, grid)
 
 
 class EvalCurve(_Record):
@@ -53,7 +52,7 @@ class EvalCurve(_Record):
     __slots__ = _fields = ("scores",)
 
     def __init__(self, scores: np.ndarray):
-        object.__setattr__(self, "scores", _readonly(scores))
+        super().__init__(_readonly(scores))
         if self.scores.ndim != 1 or self.scores.size < 2:
             raise ValueError("scores must be a flat vector of at least 2 points")
 

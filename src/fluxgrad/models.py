@@ -90,19 +90,32 @@ def _readonly(a):
     return a
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int: a ValueError unless it is an integer, numpy's too but not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 class _Record:
     """Base of the records: ``__init__`` sets each field of ``_fields``, the ``__slots__``, once; none is set or
-    deleted after.  ``_args`` names the fields ``__init__`` takes, if not all.  Records compare by identity; a
-    copy or a pickle is rebuilt through ``__init__``, so it is checked and frozen as the original was."""
+    deleted after.  It is the one place a field is set: a record with checks or conversions makes them on its
+    arguments, then hands the results to it.  ``_args`` names the fields ``__init__`` takes, if not all.  Records
+    compare by identity; a copy or a pickle is rebuilt through ``__init__``, so it is checked and frozen as the
+    original was."""
 
     __slots__ = ()
     _fields = ()
     _args = None
 
-    def __init__(self, *args, **kwargs):  # a record without checks: each field once, in order or by name
-        if len(args) + len(kwargs) != len(self._fields) or not kwargs.keys() <= set(self._fields[len(args):]):
+    def __init__(self, *args, **kwargs):  # each field once: in order, then the rest by name
+        if kwargs:  # the fields after the positional ones, in field order
+            args += tuple(kwargs.pop(f) for f in self._fields[len(args):] if f in kwargs)
+        if kwargs or len(args) != len(self._fields):
             raise TypeError(f"{type(self).__name__}() takes each of {', '.join(self._fields)} once")
-        for name, value in (*zip(self._fields, args), *kwargs.items()):
+        for name, value in zip(self._fields, args):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -154,32 +167,29 @@ class Head(_Record):
     __slots__ = _fields = ("type", "target", "use_logit")
 
     def __init__(self, type: str = "identity", target: int | None = None, use_logit: bool = False):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "use_logit", use_logit)
-        if self.type not in HEADS:
-            raise ValueError(f"unknown head type {self.type!r}")
-        if self.type == "softmax" and self.target is None:
+        if type not in HEADS:
+            raise ValueError(f"unknown head type {type!r}")
+        if type == "softmax" and target is None:
             raise ValueError("softmax head requires a target index")
-        if self.type == "softmax":
-            if isinstance(self.target, bool) or not isinstance(self.target, (int, np.integer)):
-                raise ValueError(f"softmax target must be an integer, got {self.target!r}")
-            object.__setattr__(self, "target", int(self.target))  # a numpy integer too, which a model file cannot hold
-        if self.type != "softmax" and (self.target is not None or self.use_logit):
-            raise ValueError(f"{self.type} head takes no target or logit setting")
+        if type == "softmax":
+            if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+                raise ValueError(f"softmax target must be an integer, got {target!r}")
+            target = int(target)  # a numpy integer too, which a model file cannot hold
+        if type != "softmax" and (target is not None or use_logit):
+            raise ValueError(f"{type} head takes no target or logit setting")
+        super().__init__(type, target, use_logit)
 
 
 class Layer(_Record):
     __slots__ = _fields = ("weight", "bias", "activation")
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: str = "identity"):  # (out, in), (out,)
-        object.__setattr__(self, "weight", _readonly(np.atleast_2d(weight)))
-        object.__setattr__(self, "bias", _readonly(bias))
-        object.__setattr__(self, "activation", activation)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.weight.shape[0] != self.bias.size:
+        weight, bias = _readonly(np.atleast_2d(weight)), _readonly(bias)
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        if weight.shape[0] != bias.size:
             raise ValueError("bias length must match layer output size")
+        super().__init__(weight, bias, activation)
 
 
 def _checked_params(kind: str, params):
@@ -231,23 +241,20 @@ class Model(_Record):
     _args = ("kind", "params", "head")
 
     def __init__(self, kind: str, params: tuple, head: Head = Head()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "head", head)
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        params, n = _checked_params(self.kind, params)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "dim", n)
+        if kind not in KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        params, n = _checked_params(kind, params)
         if n < 1:
             raise ValueError("dimension must be >= 1")
+        super().__init__(kind, n, params, head)
         k = self.out_dim
-        if self.head.type == "softmax":
-            if self.kind != "mlp" or k < 2:
+        if head.type == "softmax":
+            if kind != "mlp" or k < 2:
                 raise ValueError("softmax head requires an mlp with >= 2 logits")
-            if not 0 <= self.head.target < k:
+            if not 0 <= head.target < k:
                 raise ValueError("softmax target out of range")
         elif k != 1:
-            raise ValueError(f"{self.head.type} head requires a single raw output")
+            raise ValueError(f"{head.type} head requires a single raw output")
 
     @property
     def out_dim(self) -> int:
@@ -373,9 +380,6 @@ def _rest(model: Model, s):
 
 def _raw_batch(model: Model, xs):
     """Raw (n, K) output before the head, plus the forward pass of an mlp."""
-    if model.kind == "mlp":
-        post, pre = _mlp_forward(model.params, xs)
-        return post[-1], (post, pre)
     return _rest(model, _first_stage(model, xs))
 
 
@@ -617,15 +621,16 @@ def random_mlp(
     head=Head(),
 ) -> Model:
     """Small randomly initialized MLP (hidden activation, linear output)."""
-    rng = np.random.default_rng(seed)
-    sizes = (dim, *hidden, out_dim)
-    layers = []
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        b = rng.standard_normal(n_out) * 0.1
-        act = activation if i < len(sizes) - 2 else "identity"
-        layers.append(Layer(w, b, act))
-    return mlp_model(layers, head)
+    return mlp_model(_init_layers(np.random.default_rng(seed), (dim, *hidden, out_dim), activation, 0.1), head)
+
+
+def _init_layers(rng, sizes, activation: str, bias_scale: float) -> tuple:
+    """Layers of ``sizes`` with weights N(0, 1 / fan-in) and ``activation`` but a linear last layer; each bias is
+    drawn N(0, bias_scale^2) after its weight, or is zeros, with no draw, at scale 0."""
+    return tuple(Layer(rng.standard_normal((n_out, n_in)) / np.sqrt(n_in),
+                       rng.standard_normal(n_out) * bias_scale if bias_scale else np.zeros(n_out),
+                       activation if i < len(sizes) - 2 else "identity")
+                 for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, NonFiniteInput, OffSphere, StationaryGradient
 from .geometry import _row_norms, sphere_points
-from .models import Model, _check_input, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
+from .models import Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
 
@@ -40,8 +40,7 @@ class SphereSpec(_Record):
     __slots__ = _fields = ("center", "radius")
 
     def __init__(self, center: np.ndarray, radius: float):
-        object.__setattr__(self, "center", _readonly(center))
-        object.__setattr__(self, "radius", float(radius))
+        super().__init__(_readonly(center), float(radius))
         if not 0 < self.radius < np.inf:
             raise ValueError("sphere radius must be positive and finite")
         if not (self.center + self.radius > self.center).all():  # one vector pass finds NaN, inf and a lost radius
@@ -93,19 +92,12 @@ class NeflagConfig(_ValueRecord):
 
     def __init__(self, epsilon: float = 0.1, n_samples: int = 20, max_steps: int = 1, step_rule: str = "sign",
                  seed: int = 0):
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "max_steps", max_steps)
-        object.__setattr__(self, "step_rule", step_rule)
-        object.__setattr__(self, "seed", seed)
-        if not 0 < self.epsilon < np.inf:
+        if not 0 < epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
+        n_samples, max_steps = _count("n_samples", n_samples), _count("max_steps", max_steps)
+        if step_rule not in STEP_RULES:
+            raise ValueError(f"unknown step rule {step_rule!r}")
+        super().__init__(epsilon, n_samples, max_steps, step_rule, seed)
 
     def to_params(self) -> dict:
         return {

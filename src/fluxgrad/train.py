@@ -9,8 +9,8 @@ import csv
 
 import numpy as np
 
-from .models import (Head, Layer, Model, _mlp_backward, _mlp_forward, _raw_batch, _ValueRecord, expit,
-                     mlp_model, softmax)
+from .models import (Head, Layer, Model, _count, _init_layers, _mlp_backward, _mlp_forward, _raw_batch,
+                     _ValueRecord, expit, mlp_model, softmax)
 
 
 class FitResult(_ValueRecord):
@@ -18,15 +18,6 @@ class FitResult(_ValueRecord):
 
     __slots__ = _fields = ("model", "loss", "accuracy")
     __hash__ = None  # unhashable, as when it was a mutable record
-
-
-def _init_layers(rng, sizes, activation):
-    layers = []
-    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-        w = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in)
-        act = activation if i < len(sizes) - 2 else "identity"
-        layers.append(Layer(w, np.zeros(n_out), act))
-    return tuple(layers)
 
 
 def fit_toy_model(
@@ -58,8 +49,7 @@ def fit_toy_model(
         raise ValueError("labels must match the number of samples")
     if np.any(y < 0):
         raise ValueError("class labels must be non-negative integers")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    epochs = _count("epochs", epochs)
     if not 0 < learning_rate < np.inf:
         raise ValueError("learning_rate must be positive and finite")
     n, dim = X.shape
@@ -67,8 +57,7 @@ def fit_toy_model(
     binary = n_classes <= 2
     out_dim = 1 if binary else n_classes
 
-    rng = np.random.default_rng(seed)
-    layers = _init_layers(rng, (dim, *hidden, out_dim), activation)
+    layers = _init_layers(np.random.default_rng(seed), (dim, *hidden, out_dim), activation, 0.0)
     onehot = None if binary else np.eye(n_classes)[y]
     yf = y.astype(float)
 

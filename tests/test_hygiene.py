@@ -6,8 +6,9 @@ public one is re-exported by ``__init__.py`` or referenced there too, no
 module-level assignment gives a second name to something that already has
 one, every field of a method or evaluation config is set as a keyword by
 some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
-one place that makes an array read-only, ``geometry._row_norms`` the one
-that takes row norms, and no module imports ``dataclasses``.  ``__init__.py``
+one place that makes an array read-only, ``models._Record.__init__`` the
+one that sets a record's fields, ``geometry._row_norms`` the one that takes
+row norms, and no module imports ``dataclasses``.  ``__init__.py``
 re-exports names it does not use, so it is only searched for references.
 """
 
@@ -131,6 +132,18 @@ def test_only_models_readonly_freezes_arrays():
         and call.func.attr == "setflags"
     )
     assert freezers == ["models.py:_readonly"]
+
+
+def test_only_the_record_base_sets_fields():
+    # each record checks its arguments, then hands them to the one constructor that writes the slots
+    setters = sorted(
+        f"{module}:{getattr(node, 'name', '<module>')}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+    )
+    assert setters == ["models.py:_Record"]
 
 
 def test_row_norms_come_from_one_helper():

@@ -263,9 +263,9 @@ class TestNumpyHelpers:
         m = fg.random_mlp(4, hidden=(5, 3), out_dim=3, activation="tanh", seed=2,
                           head=fg.Head("softmax", target=1))
         calls = []
-        forward = models._mlp_forward
-        monkeypatch.setattr(models, "_mlp_forward",
-                            lambda p, xs: calls.append(1) or forward(p, xs))
+        forward = models._mlp_from_first
+        monkeypatch.setattr(models, "_mlp_from_first",
+                            lambda p, s: calls.append(1) or forward(p, s))
         fg.gradient_batch(m, np.ones((6, 4)))
         assert len(calls) == 1
 
@@ -636,3 +636,31 @@ def test_column_max_heads_equal_the_np_max_forms_bit_for_bit(order):
         for target in sorted({0, k // 2, k - 1}) if k > 1 else ():
             model = fg.random_mlp(2, out_dim=k, head=fg.Head("softmax", target=target))
             assert np.array_equal(models._headed(model, z), e[:, target] / np.sum(e, axis=1))
+
+
+_FIELD, _BALL = fg.random_mlp(2, hidden=(3,), activation="tanh", seed=1), fg.SphereSpec(np.zeros(2), 0.5)
+_COUNTS = {  # every count parameter, and what it gives for a count n
+    "SmoothGradConfig.samples": lambda n: fg.SmoothGradConfig(samples=n).samples,
+    "IgConfig.steps": lambda n: fg.IgConfig(steps=n).steps,
+    "NeflagConfig.n_samples": lambda n: fg.NeflagConfig(n_samples=n).n_samples,
+    "NeflagConfig.max_steps": lambda n: fg.NeflagConfig(max_steps=n).max_steps,
+    "IntegralEstimate.samples": lambda n: fg.IntegralEstimate(0.0, 0.0, n).samples,
+    "volume samples": lambda n: fg.volume_divergence_integral(_FIELD, _BALL, n).samples,
+    "surface samples": lambda n: fg.surface_flux_integral(_FIELD, _BALL, n).samples,
+    "report samples": lambda n: fg.divergence_theorem_report(_FIELD, _BALL, n).samples,
+    "fit_toy_model epochs": lambda n: fg.fit_toy_model(np.eye(2), [0, 1], hidden=(2,), epochs=n).loss,
+}
+
+
+@pytest.mark.parametrize("count", sorted(_COUNTS))
+def test_counts_must_be_integers(count):
+    # 2.5 steps would give IG three points at 0.2, 0.6 and 1.0, not the midpoint rule, and a float count
+    # elsewhere a numpy TypeError later; a numpy integer is a count, held as a plain int
+    get = _COUNTS[count]
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            get(value)
+    with pytest.raises(ValueError, match=r"must be >= [13]$"):
+        get(0)
+    got, want = get(np.int64(3)), get(3)
+    assert got == want and type(got) is type(want)
