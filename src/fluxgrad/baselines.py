@@ -4,7 +4,6 @@ gradients, and straight-line path-integrated gradients."""
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import DimensionMismatch
 from .models import Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
 
 
@@ -16,7 +15,7 @@ class SmoothGradConfig(_ValueRecord):
     def __init__(self, sigma: float = 0.1, samples: int = 50, seed: int = 0):
         if not 0 <= sigma < np.inf:
             raise ValueError("sigma must be >= 0 and finite")
-        super().__init__(sigma, _count("samples", samples), seed)
+        super().__init__(sigma, _count("samples", samples), _count("seed", seed, least=0))
 
 
 class IgConfig(_Record):
@@ -58,9 +57,7 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     which is second-order accurate in the step count.
     """
     x = _check_input(model, x)
-    baseline = np.zeros_like(x) if cfg.baseline is None else np.asarray(cfg.baseline)
-    if baseline.size != x.size:
-        raise DimensionMismatch("baseline length does not match input")
+    baseline = np.zeros_like(x) if cfg.baseline is None else _check_input(model, cfg.baseline)
     alphas = (np.arange(cfg.steps) + 0.5) / cfg.steps
     path = baseline + alphas[:, None] * (x - baseline)
     grads = gradient_batch(model, path)
@@ -80,6 +77,6 @@ def ig_completeness_gap(model: Model, x, attribution: AttributionMap) -> float:
 
 def random_attribution(model: Model, x, seed: int = 0) -> AttributionMap:
     """Standard-normal scores, the null reference for evaluation harnesses."""
-    x = _check_input(model, x)
+    x, seed = _check_input(model, x), _count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     return AttributionMap(rng.standard_normal(x.size), "random", {"seed": seed})

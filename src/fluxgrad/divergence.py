@@ -20,8 +20,8 @@ import json
 import numpy as np
 
 from .geometry import ball_volume, sphere_area, sphere_directions
-from .models import (Model, _count, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord, gradient_batch,
-                     laplacian_batch)
+from .models import (Model, _check_input, _count, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord,
+                     gradient_batch, laplacian_batch)
 from .neflag import SphereSpec
 
 SUBSETS = ("all", "negative", "positive")
@@ -71,7 +71,7 @@ def divergence_fd(model: Model, x) -> float:
     """
     _require_smooth(model)
     h = 1e-4
-    x = np.asarray(x, dtype=float)
+    x = _check_input(model, x)
     steps = h * np.eye(x.size)
     plus, minus = gradient_batch(model, x + steps), gradient_batch(model, x - steps)
     return float(np.sum(np.diag(plus) - np.diag(minus)) / (2.0 * h))

@@ -23,7 +23,8 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import Model, _readonly, _Record, _ValueRecord, evaluate_batch, path_change, path_scores
+from .models import (Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate_batch, path_change,
+                     path_scores)
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
@@ -43,6 +44,9 @@ class EvalConfig(_ValueRecord):
     def __init__(self, replacement: str = "black", *, grid: tuple[int, int] | None = None):
         if replacement not in REPLACEMENTS:
             raise ValueError(f"unknown replacement {replacement!r}")
+        if grid is not None:
+            h, w = grid  # a ValueError unless it has two entries
+            grid = _count("grid height", h), _count("grid width", w)
         super().__init__(replacement, grid)
 
 
@@ -106,7 +110,7 @@ def _round(model: Model, x, cfg: EvalConfig):
     every order.  A feature equal to its replacement moves no point and costs no model row: its
     point repeats the score before it, and the points before the first moving feature and after
     the last one are the exact ends."""
-    x = np.asarray(x, dtype=float)
+    x = _check_input(model, x)
     repl = replacement_input(x, cfg)
     ends = evaluate_batch(model, np.stack([x, repl]))  # exact, so deletion ends where insertion starts
     path = path_change(model, x, repl)
@@ -203,8 +207,8 @@ def make_method(name: str, **params):
             raise ValueError("epsilon must be positive and finite")
 
         def run(model, x, seed):
-            point = sample_sphere(SphereSpec(np.asarray(x, dtype=float), epsilon), seed)
-            return taylor_heatmap(model, x, point)
+            x = _check_input(model, x)
+            return taylor_heatmap(model, x, sample_sphere(SphereSpec(x, epsilon), seed))
     else:  # random
         def run(model, x, seed):
             return random_attribution(model, x, seed)
@@ -256,10 +260,14 @@ def benchmark(
     calling thread: every method attributes one, with per-sample seeds derived counter-style
     from the master seed, then each distinct replacement round of it is built once for all
     their curves.  Per-sample failures are counted, not fatal; an input that no round can be
-    built for (a NaN, a wrong length, a grid mismatch) fails every method."""
+    built for (a NaN, a wrong shape) fails every method.  A negative or non-integer seed is a
+    ValueError, and a grid that does not fit the model a DimensionMismatch, before any method runs."""
     inputs = [np.asarray(x, dtype=float) for x in inputs]
     if not inputs or not methods:
         raise ValueError("benchmark needs at least one input and one method")
+    seed = _count("seed", seed, least=0)
+    if cfg.grid is not None and cfg.grid[0] * cfg.grid[1] != model.dim:
+        raise DimensionMismatch(f"grid {cfg.grid[0]}x{cfg.grid[1]} does not match {model.dim} features")
     # blur without a grid is mean, so cfg's round is often one of the two
     own = _two_rounds(cfg)[1] if cfg.replacement == "blur" else cfg.replacement
     rows = {name: [] for name in methods}  # (deletion, insertion, difference) of each sample that succeeded

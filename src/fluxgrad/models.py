@@ -46,7 +46,7 @@ def softmax(z):
     """exp(z) normalized to sum to 1 along the last axis, max-shifted first; the max is one np.maximum pass
     per column, exact and cheaper than np.max across the few logits of this package's heads (up to about 40:
     at 1000 a (512, 1000) softmax takes 1.3x as long), and np.sum's pairwise sum stays."""
-    e = np.exp(z - reduce(np.maximum, [z[..., k] for k in range(z.shape[-1])])[..., None])
+    e = np.exp(z - reduce(np.maximum, z.T).T[..., None])  # z.T's entries are z's last-axis columns, transposed
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
@@ -264,9 +264,6 @@ class Model(_Record):
     def uses_relu(self) -> bool:
         return self.kind == "mlp" and any(layer.activation == "relu" for layer in self.params)
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 # ---------------------------------------------------------------------------
 # evaluation and gradients
@@ -278,18 +275,17 @@ def _require_smooth(model: Model):
 
 
 def _check_input(model: Model, x) -> np.ndarray:
-    """x as a float array, checked to have the model's length."""
-    x = np.asarray(x, dtype=float)
-    if x.size != model.dim:
-        raise DimensionMismatch("input length does not match model dimension")
-    return x
+    """x as a checked float vector: :func:`_check_batch` of x as one row."""
+    return _check_batch(model, np.asarray(x, dtype=float)[None])[0]
 
 
 def _check_batch(model: Model, xs) -> np.ndarray:
+    """xs as an (n, N) float array, a vector as one row: the one input gate.  A DimensionMismatch unless xs
+    has at most two axes and rows of the model's length, a NonFiniteInput unless every entry is finite."""
     xs = np.asarray(xs, dtype=float)
     xs = xs if xs.ndim > 1 else np.atleast_2d(xs)
-    if xs.shape[1] != model.dim:
-        raise DimensionMismatch(f"expected vectors of length {model.dim}, got {xs.shape[1]}")
+    if xs.ndim > 2 or xs.shape[1] != model.dim:
+        raise DimensionMismatch(f"expected vectors of length {model.dim}, got an array of shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise NonFiniteInput("input contains non-finite components")
     return xs
@@ -455,14 +451,11 @@ def path_scores(model: Model, path, order) -> np.ndarray:
 def _headed(model: Model, raw):
     """The head applied to raw (n, K) outputs; shape (n,)."""
     h = model.head
-    if h.type == "identity":
-        return raw[:, 0]
+    if h.type == "identity" or h.use_logit:
+        return raw[:, h.target or 0]
     if h.type == "sigmoid":
         return expit(raw[:, 0])
-    if h.use_logit:
-        return raw[:, h.target]
-    e = np.exp(raw - reduce(np.maximum, raw.T)[:, None])  # softmax, divided out in the target column only
-    return e[:, h.target] / np.sum(e, axis=1)
+    return softmax(raw)[:, h.target]
 
 
 def gradient_batch(model: Model, xs) -> np.ndarray:
@@ -470,14 +463,12 @@ def gradient_batch(model: Model, xs) -> np.ndarray:
     xs = _check_batch(model, xs)
     raw, forward = _raw_batch(model, xs)
     h = model.head
-    if h.type == "identity":
-        cot = np.ones_like(raw)
+    if h.type == "identity" or h.use_logit:  # one column: a one-hot cotangent
+        cot = np.zeros_like(raw)
+        cot[:, h.target or 0] = 1.0
     elif h.type == "sigmoid":
         s = expit(raw[:, 0])
         cot = (s * (1.0 - s))[:, None]
-    elif h.use_logit:
-        cot = np.zeros_like(raw)
-        cot[:, h.target] = 1.0
     else:
         probs = softmax(raw)
         pt = probs[:, h.target]
@@ -562,12 +553,12 @@ def _block_laplacian(model: Model, xs, fold):
 
 def evaluate(model: Model, x) -> float:
     """f(x) after the head."""
-    return float(evaluate_batch(model, np.asarray(x, dtype=float)[None, :])[0])
+    return float(evaluate_batch(model, np.asarray(x, dtype=float)[None])[0])
 
 
 def gradient(model: Model, x) -> np.ndarray:
     """Analytic gradient of f at x, including the head chain rule."""
-    return gradient_batch(model, np.asarray(x, dtype=float)[None, :])[0]
+    return gradient_batch(model, np.asarray(x, dtype=float)[None])[0]
 
 
 def fd_gradient(model: Model, x, h: float = 1e-5) -> np.ndarray:
@@ -577,7 +568,7 @@ def fd_gradient(model: Model, x, h: float = 1e-5) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
+    x = _check_input(model, x)
     eye = np.eye(x.size) * h
     plus = evaluate_batch(model, x + eye)
     minus = evaluate_batch(model, x - eye)

@@ -97,7 +97,7 @@ class NeflagConfig(_ValueRecord):
         n_samples, max_steps = _count("n_samples", n_samples), _count("max_steps", max_steps)
         if step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {step_rule!r}")
-        super().__init__(epsilon, n_samples, max_steps, step_rule, seed)
+        super().__init__(epsilon, n_samples, max_steps, step_rule, _count("seed", seed, least=0))
 
     def to_params(self) -> dict:
         return {
@@ -134,7 +134,7 @@ def flux_at(model: Model, sphere: SphereSpec, x_t) -> FluxPoint:
     would silently corrupt the unit normal.
     """
     x_t = np.asarray(x_t, dtype=float)
-    if x_t.size != sphere.dim:
+    if x_t.shape != sphere.center.shape:
         raise DimensionMismatch("point and sphere dimensions differ")
     dist = float(np.linalg.norm(sphere.offset(x_t)))
     if abs(dist - sphere.radius) > 1e-6 * sphere.radius:
@@ -169,7 +169,7 @@ def recurrence_step(
     """
     if rule not in ("sign", "normalized"):
         raise ValueError(f"unknown recurrence rule {rule!r}")
-    xs = np.asarray(x_prev, dtype=float)[None, :]
+    xs = np.asarray(x_prev, dtype=float)[None]
     x_next, stationary = _steps(sphere, gradient_batch(model, xs), rule)
     if stationary[0]:
         raise StationaryGradient("stationary gradient, cannot step")
@@ -262,8 +262,8 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     for all of them.  Raw sums are reported (no 1/n normalization);
     magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
-    x = _check_input(model, x)
-    sphere = SphereSpec(x, config.epsilon)  # refuses a non-finite x before the search's arithmetic warns on it
+    x = _check_input(model, x)  # refuses a non-finite x before the search's arithmetic warns on it
+    sphere = SphereSpec(x, config.epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))  # the seed's first child
     points, grads = _search(model, sphere, config, rng, config.n_samples)
     # numpy adds the rows in index order, as a running total over the samples would

@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from .models import (Head, Layer, Model, _count, _init_layers, _mlp_backward, _mlp_forward, _raw_batch,
+from .models import (Head, Layer, Model, _check_batch, _count, _init_layers, _mlp_backward, _mlp_forward, _raw_batch,
                      _ValueRecord, expit, mlp_model, softmax)
 
 
@@ -91,7 +91,7 @@ def fit_toy_model(
 
 def training_accuracy(model: Model, X, y) -> float:
     """Fraction of samples the model classifies correctly."""
-    raw, _ = _raw_batch(model, np.asarray(X, dtype=float))
+    raw, _ = _raw_batch(model, _check_batch(model, X))
     y = np.asarray(y, dtype=int)
     if model.head.type == "sigmoid":
         pred = (expit(raw[:, 0]) >= 0.5).astype(int)

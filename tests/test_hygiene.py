@@ -8,7 +8,8 @@ one, every field of a method or evaluation config is set as a keyword by
 some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
 one place that makes an array read-only, ``models._Record.__init__`` the
 one that sets a record's fields, ``geometry._row_norms`` the one that takes
-row norms, and no module imports ``dataclasses``.  ``__init__.py``
+row norms, ``models.softmax`` the one that max-shifts for an exponential, and
+no module imports ``dataclasses``.  ``__init__.py``
 re-exports names it does not use, so it is only searched for references.
 """
 
@@ -157,3 +158,16 @@ def test_row_norms_come_from_one_helper():
         and (len(call.args) > 2 or any(kw.arg == "axis" for kw in call.keywords))
     )
     assert calls == []
+
+
+def test_one_softmax():
+    # a head reads its column of models.softmax; a second max-shifted exponential is a second softmax
+    shifts = sorted(
+        f"{module}:{getattr(node, 'name', '<module>')}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "reduce"
+        and call.args and ast.unparse(call.args[0]) == "np.maximum"
+    )
+    assert shifts == ["models.py:softmax"]
