@@ -22,7 +22,7 @@ class AttributionMap(_Record):
         values = _readonly(values)
         if values.ndim != 1:
             raise ValueError("attribution values must be a flat vector")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFiniteAttribution("attribution values must be finite")
         # params as a read-only copy whose lists (IG's baseline, Taylor's expansion point) are tuples
         params = MappingProxyType({k: tuple(v) if isinstance(v, list) else v for k, v in (params or {}).items()})

@@ -86,7 +86,7 @@ def volume_divergence_integral(
     standard error is the pair means' (an odd count's last point is a unit on its own).
     """
     samples = _count("samples", samples)
-    rng, pairs = np.random.default_rng(seed), samples - samples // 2
+    rng, pairs = np.random.default_rng(_count("seed", seed, least=0)), samples - samples // 2
     offsets = sphere_directions(rng, pairs, ball.dim)
     offsets *= (ball.radius * rng.random(pairs) ** (1.0 / ball.dim))[:, None]  # scaled in place
     pts = _mirrored(offsets, samples)
@@ -117,7 +117,7 @@ def surface_flux_integral(
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
     samples = _count("samples", samples)
-    rng, vals = np.random.default_rng(seed), []
+    rng, vals = np.random.default_rng(_count("seed", seed, least=0)), []
     for rows in _row_blocks(model, samples, model.dim, unit=2):  # block draws continue one stream
         k = rows.stop - rows.start
         normals = _mirrored(sphere_directions(rng, k - k // 2, sphere.dim), k)
@@ -170,8 +170,7 @@ def divergence_theorem_report(
     :attr:`DivergenceTheoremReport.passed` for the verdict.  Each side needs two units (two pairs, or a pair
     and an odd count's last row) for a standard error, so fewer than 3 samples are refused."""
     samples = _count("samples", samples, least=3)
-    ss = np.random.SeedSequence(seed)
-    kids = ss.spawn(2)
+    kids = np.random.SeedSequence(_count("seed", seed, least=0)).spawn(2)
     lhs = volume_divergence_integral(
         model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31)
     )

@@ -612,7 +612,8 @@ def random_mlp(
     head=Head(),
 ) -> Model:
     """Small randomly initialized MLP (hidden activation, linear output)."""
-    return mlp_model(_init_layers(np.random.default_rng(seed), (dim, *hidden, out_dim), activation, 0.1), head)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
+    return mlp_model(_init_layers(rng, (dim, *hidden, out_dim), activation, 0.1), head)
 
 
 def _init_layers(rng, sizes, activation: str, bias_scale: float) -> tuple:

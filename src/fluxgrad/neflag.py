@@ -109,9 +109,14 @@ class NeflagConfig(_ValueRecord):
         }
 
 
+def _generator(seed) -> np.random.Generator:
+    """A Generator as given, which its draws advance, or a fresh one on a non-negative integer seed."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_count("seed", seed, least=0))
+
+
 def sample_sphere(sphere: SphereSpec, seed) -> np.ndarray:
-    """One point drawn uniformly on the sphere surface."""
-    return sphere_points(np.random.default_rng(seed), 1, sphere.center, sphere.radius)[0]
+    """One point drawn uniformly on the sphere surface, from a seed or a Generator."""
+    return sphere_points(_generator(seed), 1, sphere.center, sphere.radius)[0]
 
 
 def _flux_point(model: Model, sphere: SphereSpec, x_t, grad) -> FluxPoint:
@@ -222,11 +227,12 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         g = gradient_batch(model, x_t)
         flux = np.einsum("ij,ij->i", g, normals)
         accept = flux < 0.0
+        if accept.all():  # every pending row is accepted: no masks to take
+            points[pending], grads[pending] = x_t, g
+            break
         points[pending[accept]], grads[pending[accept]] = x_t[accept], g[accept]
         pending = pending[~accept]
-        if not pending.size:
-            break
-    if pending.size:
+    else:  # the rounds ran out with samples still pending
         errors[int(pending[0])] = NoNegativeFlux(
             f"no negative flux found on the sphere after {budget} attempts"
         )
@@ -244,9 +250,10 @@ def find_negative_flux_point(
     updates under the ``none`` rule).  A candidate whose exact flux is >= 0
     is rejected and the search restarts from a fresh sample, up to
     10 * n_samples attempts; exhaustion raises :class:`NoNegativeFlux`.
+    ``seed``, a non-negative integer or a Generator, is the config's if None.
     This is the one-sample case of the search :func:`neflag_attribute` runs.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = _generator(config.seed if seed is None else seed)
     points, grads = _search(model, sphere, config, rng, 1)
     return _flux_point(model, sphere, points[0], grads[0])
 

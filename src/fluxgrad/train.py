@@ -6,6 +6,7 @@ attribution and evaluation machinery, not to be good classifiers.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +35,9 @@ def fit_toy_model(
     Binary labels {0, 1} give a single-logit model with a sigmoid head;
     labels {0..K-1} with K > 2 give K logits with a softmax head (target
     class 0 by default, re-targetable via the head).  Deterministic given
-    the seed.  Non-convergence is not an error; the final loss is reported.
+    the seed.  Non-convergence is not an error.  The reported loss is the
+    mean cross-entropy of the last epoch's forward pass, before that epoch's
+    update; it is computed once, after the epochs.
     Fewer than one epoch, a learning rate that is not positive and finite,
     a non-finite entry in X, a negative label, or a fit whose weights
     overflow to non-finite values is a ValueError.
@@ -49,7 +52,7 @@ def fit_toy_model(
         raise ValueError("labels must match the number of samples")
     if np.any(y < 0):
         raise ValueError("class labels must be non-negative integers")
-    epochs = _count("epochs", epochs)
+    epochs, seed = _count("epochs", epochs), _count("seed", seed, least=0)
     if not 0 < learning_rate < np.inf:
         raise ValueError("learning_rate must be positive and finite")
     n, dim = X.shape
@@ -57,34 +60,33 @@ def fit_toy_model(
     binary = n_classes <= 2
     out_dim = 1 if binary else n_classes
 
-    layers = _init_layers(np.random.default_rng(seed), (dim, *hidden, out_dim), activation, 0.0)
+    # the epochs update plain, writeable copies of the initial weights and biases in place
+    layers = [SimpleNamespace(weight=layer.weight.copy(), bias=layer.bias.copy(), activation=layer.activation)
+              for layer in _init_layers(np.random.default_rng(seed), (dim, *hidden, out_dim), activation, 0.0)]
     onehot = None if binary else np.eye(n_classes)[y]
     yf = y.astype(float)
 
-    loss = np.inf
     for _ in range(epochs):
         post, pre = _mlp_forward(layers, X)
-        logits = post[-1]
-        # loss gradient on the logits (mean reduction)
+        # loss gradient on the logits (mean reduction); p is each sample's sigmoid or softmax output
         if binary:
-            p = expit(logits[:, 0])
-            eps = 1e-12
-            loss = -np.mean(yf * np.log(p + eps) + (1 - yf) * np.log(1 - p + eps))
+            p = expit(post[-1][:, 0])
             delta = ((p - yf) / n)[:, None]
         else:
-            probs = softmax(logits)
-            loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-12))
-            delta = (probs - onehot) / n
+            p = softmax(post[-1])
+            delta = (p - onehot) / n
         _, dzs = _mlp_backward(layers, (post, pre), delta)
-        inputs = [X] + post[:-1]
-        layers = tuple(
-            Layer(layer.weight - learning_rate * (dz.T @ a),
-                  layer.bias - learning_rate * dz.sum(axis=0), layer.activation)
-            for layer, dz, a in zip(layers, dzs, inputs)
-        )
+        for layer, dz, a in zip(layers, dzs, [X] + post[:-1]):
+            layer.weight -= learning_rate * (dz.T @ a)
+            layer.bias -= learning_rate * dz.sum(axis=0)
+    # the last epoch's loss, from its forward pass, before its update
+    if binary:
+        loss = -np.mean(yf * np.log(p + 1e-12) + (1 - yf) * np.log(1 - p + 1e-12))
+    else:
+        loss = -np.mean(np.log(p[np.arange(n), y] + 1e-12))
 
     head = Head("sigmoid") if binary else Head("softmax", target=0)
-    model = mlp_model(layers, head)
+    model = mlp_model([Layer(layer.weight, layer.bias, layer.activation) for layer in layers], head)
     acc = training_accuracy(model, X, y)
     return FitResult(model, float(loss), acc)
 
@@ -108,7 +110,7 @@ def blob_dataset(
     n: int = 200, margin: float = 1.0, dim: int = 2, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two linearly separable Gaussian blobs, separated by 2 * margin."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
     half = n // 2
     shift = np.full(dim, margin / np.sqrt(dim))
     x0 = rng.standard_normal((half, dim)) * 0.4 - shift
@@ -128,7 +130,7 @@ def linear_rule_dataset(
     relevance in evaluation-harness tests.
     """
     w = np.asarray(weights, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, least=0))
     X = []
     while len(X) < n:
         batch = rng.standard_normal((2 * n, w.size))

@@ -5,6 +5,8 @@ oracle that takes one refuses a wrong shape with DimensionMismatch and a NaN wit
 ``benchmark`` counts such an input as failed.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,38 @@ def test_seeds_are_non_negative_integers(held):
     for seed in (0, np.int64(3), 2**70):
         got = held(seed)
         assert type(got) is int and got == seed
+
+
+SEED_TAKERS = {  # each call draws from the seed it is given
+    "fit_toy_model": lambda seed: fg.fit_toy_model(np.eye(2), [0, 1], hidden=(2,), epochs=1, seed=seed),
+    "random_mlp": lambda seed: fg.random_mlp(4, seed=seed),
+    "blob_dataset": lambda seed: fg.blob_dataset(4, seed=seed),
+    "linear_rule_dataset": lambda seed: fg.linear_rule_dataset([1.0, 2.0], n=4, seed=seed),
+    "sample_sphere": lambda seed: fg.sample_sphere(SPHERE, seed),
+    "find_negative_flux_point": lambda seed: fg.find_negative_flux_point(MODEL, SPHERE, fg.NeflagConfig(), seed),
+    "volume_divergence_integral": lambda seed: fg.volume_divergence_integral(MODEL, SPHERE, 4, seed),
+    "surface_flux_integral": lambda seed: fg.surface_flux_integral(MODEL, SPHERE, 4, seed),
+    "divergence_theorem_report": lambda seed: fg.divergence_theorem_report(MODEL, SPHERE, 4, seed),
+}
+
+
+@pytest.mark.parametrize("call", SEED_TAKERS.values(), ids=SEED_TAKERS.keys())
+def test_every_seed_is_a_non_negative_integer(call):
+    for bad in (2.5, True, -1, -3):
+        with pytest.raises(ValueError, match="seed must be"):
+            call(bad)
+    assert pickle.dumps(call(np.int64(3))) == pickle.dumps(call(3))
+    call(2**70)
+
+
+def test_seed_none_is_the_configs_only_in_find_negative_flux_point():
+    cfg = fg.NeflagConfig(seed=4)
+    at_none = fg.find_negative_flux_point(MODEL, SPHERE, cfg, None)
+    assert np.array_equal(at_none.location, fg.find_negative_flux_point(MODEL, SPHERE, cfg, 4).location)
+    for name, call in SEED_TAKERS.items():
+        if name != "find_negative_flux_point":
+            with pytest.raises(ValueError, match="seed must be"):
+                call(None)
 
 
 def test_grids_are_two_positive_integers():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxgrad as fg
-from fluxgrad import models
+from fluxgrad import models, train
 from fluxgrad.models import _mlp_forward
 
 
@@ -191,6 +192,29 @@ class TestFitToyModel:
         X, y = fg.blob_dataset(20, seed=1)
         with pytest.raises(ValueError, match="learning_rate"):
             fg.fit_toy_model(X, y, epochs=1, learning_rate=lr)
+
+    def test_fits_are_pinned(self):
+        # The sha256 of four fits' model JSON, loss and accuracy, recorded before the
+        # epoch loop kept its weights as plain arrays: any drift in a fit fails here.
+        rng = np.random.default_rng(0)
+        X3, y3 = rng.standard_normal((60, 2)), rng.integers(0, 3, size=60)
+        fits = [
+            fg.fit_toy_model(*fg.linear_rule_dataset([4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0], n=400, seed=5),
+                             hidden=(8,), epochs=500, learning_rate=0.5, seed=2),
+            fg.fit_toy_model(*fg.blob_dataset(60, dim=3, seed=4), hidden=(6, 4), activation="softplus",
+                             epochs=100, seed=1),
+            fg.fit_toy_model(X3, y3, hidden=(5,), activation="relu", epochs=100, seed=3),
+            fg.fit_toy_model(*fg.blob_dataset(20, seed=1), hidden=(), epochs=1),
+        ]
+        text = "".join(models.model_json_str(f.model) + repr((f.loss, f.accuracy)) for f in fits)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "9d12e5464993da41aec2f9716a6f1469049973937f81a3752581875caee8ed4a"
+
+    def test_each_layer_is_built_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(train, "Layer", lambda *args: built.append(args) or models.Layer(*args))
+        fit = fg.fit_toy_model(*fg.blob_dataset(20, seed=1), hidden=(4, 3), epochs=50)
+        assert len(built) == len(fit.model.params) == 3
 
 
 class TestSerialization:
