@@ -23,6 +23,7 @@ from .divergence import (
 from .errors import (
     DimensionMismatch,
     FluxgradError,
+    MeasureOverflow,
     NoNegativeFlux,
     NonFiniteAttribution,
     NonFiniteInput,

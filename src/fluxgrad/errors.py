@@ -17,6 +17,10 @@ class NonFiniteAttribution(FluxgradError, ValueError):
     """An attribution map holds NaN or infinite scores."""
 
 
+class MeasureOverflow(FluxgradError, ValueError):
+    """A ball volume or sphere area exceeds the largest float."""
+
+
 class OffSphere(FluxgradError, ValueError):
     """A point claimed to lie on a sphere is too far from its surface."""
 

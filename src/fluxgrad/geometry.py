@@ -1,10 +1,31 @@
 """Sphere and ball geometry: uniform sampling and closed-form measures."""
 
 import math
+import sys
 
 import numpy as np
 
+from .errors import MeasureOverflow
 from .models import _BLOCK_BYTES
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _measure(what: str, dim: int, log_c: float, power: int, radius: float) -> float:
+    """c * radius**power, computed in logs from log_c = log(c): the ``what`` of radius ``radius`` in R^dim.
+
+    Raises :class:`MeasureOverflow` when the measure exceeds the largest
+    float.  Where c and radius**power lie well inside the float range, the
+    result is their product; elsewhere it is the exponential of the log.
+    """
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    log_r = power * math.log(radius)
+    if log_c + log_r > _LOG_MAX:
+        exponent, mantissa = divmod((log_c + log_r) / math.log(10.0), 1.0)
+        raise MeasureOverflow(f"the {what} of radius {radius:g} in R^{dim} overflows a float: "
+                              f"about {10.0**mantissa:.2g}e+{exponent:.0f}")
+    return math.exp(log_c) * radius**power if abs(log_c) < 700.0 and abs(log_r) < 700.0 else math.exp(log_c + log_r)
 
 
 def sphere_area(dim: int, radius: float) -> float:
@@ -15,7 +36,7 @@ def sphere_area(dim: int, radius: float) -> float:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     log_a = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
-    return math.exp(log_a) * radius ** (dim - 1)
+    return _measure("sphere area", dim, log_a, dim - 1, radius)
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -23,7 +44,7 @@ def ball_volume(dim: int, radius: float) -> float:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     log_v = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
-    return math.exp(log_v) * radius**dim
+    return _measure("ball volume", dim, log_v, dim, radius)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

@@ -313,9 +313,10 @@ def _mlp_from_first(layers, s):
 def _mlp_backward(layers, forward, cotangent):
     """Backpropagate a (n, K) cotangent on the logits of ``forward``, a :func:`_mlp_forward` result.
 
-    Returns the cotangent on the inputs and, first layer first, the one on
-    each layer's pre-activations, ``dz``.  A layer's weight gradient is
-    ``dz.T @ layer_input`` and its bias gradient ``dz.sum(axis=0)``.
+    Returns, first layer first, the cotangent on each layer's
+    pre-activations, ``dz``.  A layer's weight gradient is
+    ``dz.T @ layer_input``, its bias gradient ``dz.sum(axis=0)``, and the
+    first layer's ``dz @ W1`` is the cotangent on the inputs.
     """
     post, pre = forward
     dzs = []
@@ -323,8 +324,9 @@ def _mlp_backward(layers, forward, cotangent):
     for layer, z, a in zip(reversed(layers), reversed(pre), reversed(post)):
         dz = delta if layer.activation == "identity" else delta * _act_deriv(layer.activation, z, a)
         dzs.append(dz)
-        delta = dz @ layer.weight
-    return delta, dzs[::-1]
+        if len(dzs) < len(layers):  # the first layer's input cotangent is the caller's to form
+            delta = dz @ layer.weight
+    return dzs[::-1]
 
 
 # Every kind's raw output is g(sum_j phi_j(x_j)): an additive first stage
@@ -383,7 +385,7 @@ def _raw_grad_batch(model: Model, xs, forward, cotangent):
     """Gradient of (cotangent . raw output) w.r.t. the inputs, per row."""
     p = model.params
     if model.kind == "mlp":
-        return _mlp_backward(p, forward, cotangent)[0]
+        return _mlp_backward(p, forward, cotangent)[0] @ p[0].weight
     scale = cotangent[:, 0][:, None]
     if model.kind == "linear":
         return scale * p[0]

@@ -18,10 +18,16 @@ direction, in one of two flavors:
 Each candidate is one uniform start refined by ``max_steps`` recurrence
 steps; a candidate without negative flux is dropped for a fresh start.
 
-The samples of one attribution are searched in lockstep: each recurrence
-step is one ``gradient_batch`` call over every sample still searching, and
-one more call at the final points gives the flux.  Each draw takes one
-(n_samples, N) block of sphere points from one generator, row i for sample i.
+The samples of one attribution are searched in lockstep, in chunks of
+rounds: each recurrence step is one ``gradient_batch`` call over every
+candidate of the chunk, and one more call at the final points gives the
+flux.  The first chunk is one round of every sample; after every chunk
+that leaves samples searching, k, the number of rounds a chunk gives each
+of them, doubles, capped so that no call gets more than n_samples rows.
+A chunk of k rounds draws k (n_samples, N) blocks of sphere points from
+one generator at once, row i of each block for sample i; each sample ends
+at its first round that accepts or fails, and the rounds drawn past a
+sample's acceptance only advance the attribution's private generator.
 """
 
 import numpy as np
@@ -184,58 +190,79 @@ def recurrence_step(
 def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int):
     """Find one negative-flux point for each of ``n`` samples, all in lockstep.
 
-    Returns the accepted points and the gradients there.  Each draw takes
-    one (n, N) block of sphere points from ``rng`` and keeps the rows of
-    the pending samples; row i of every block is sample i's.  Each round
-    draws a start, makes one ``gradient_batch`` call per recurrence step
-    and one at the final points, and accepts the rows whose flux is
-    negative.  Each sample has 10 * n_samples rounds.  A sample whose
-    gradient vanishes, whose point lands on the center or whose rounds run
-    out fails alone; the search then raises the error of the lowest-index
-    failed sample, the one a sample-by-sample loop would meet first.
+    Returns the accepted points and the gradients there.  The search runs
+    in chunks of k rounds over the samples still pending: k is 1 for the
+    first chunk and doubles after every chunk that leaves samples pending,
+    capped so that no ``gradient_batch`` call gets more than ``n`` rows
+    (k <= n // pending, so k stays 1 for n = 1) and the rounds stay within
+    the budget.  A chunk draws k (n, N) blocks of sphere points from
+    ``rng`` with one call and keeps the rows of the pending samples; row i
+    of every block is sample i's start, so sample i's r-th candidate is
+    the same whatever the chunk sizes.  A chunk makes one
+    ``gradient_batch`` call per recurrence step and one at the final
+    points.  Each sample ends at its first round that accepts a negative
+    flux or fails; the rounds a chunk ran past that only advanced ``rng``.
+    Each sample has 10 * n_samples rounds.  A sample whose gradient
+    vanishes, whose point lands on the center or whose rounds run out
+    fails alone; the search then raises the error of the lowest-index
+    failed sample, the one a sample-by-sample loop would meet first, and
+    stores no point after the first failure.
     """
     budget = 10 * config.n_samples
     steps = 0 if config.step_rule == "none" else config.max_steps
     points, grads = np.empty((n, sphere.dim)), np.empty((n, sphere.dim))
     pending = np.arange(n)
     errors = {}  # sample index -> the error that ended its search
-
-    def fail(bad, error):
-        """Stop the pending samples marked ``bad``; the mask of the rows that go on."""
-        nonlocal pending
-        errors.update(dict.fromkeys(pending[bad].tolist(), error))
-        # a sample after the lowest failed one cannot change the outcome, so an empty ``bad`` changes nothing
-        go_on = ~bad & (pending < min(errors, default=n))
-        pending = pending[go_on]
-        return go_on
-
-    for _ in range(budget):
-        x_t = sphere_points(rng, n, sphere.center, sphere.radius)
-        x_t = x_t if pending.size == n else x_t[pending]
+    rounds, k = 0, 1
+    while pending.size:
+        if rounds == budget:
+            errors[int(pending[0])] = NoNegativeFlux(f"no negative flux found on the sphere after {budget} attempts")
+            break
+        p = pending.size
+        size = min(k, n // p, budget - rounds)
+        x_t = sphere_points(rng, size * n, sphere.center, sphere.radius)
+        if p < n:  # row r * p + i of the chunk is round r of sample pending[i]
+            x_t = x_t.reshape(size, n, -1)[:, pending].reshape(size * p, -1)
+        rows, failed = np.arange(size * p), {}  # the chunk rows still in x_t; a failed chunk row -> its error
         for _ in range(steps):
             x_t, stationary = _steps(sphere, gradient_batch(model, x_t), config.step_rule)
             if stationary.any():
-                x_t = x_t[fail(stationary, StationaryGradient("stationary gradient, cannot step"))]
+                failed.update(dict.fromkeys(rows[stationary].tolist(),
+                                            StationaryGradient("stationary gradient, cannot step")))
+                x_t, rows = x_t[~stationary], rows[~stationary]
         off = x_t - sphere.center
         dist = _row_norms(off)
         if not dist.all():
-            go_on = fail(dist == 0.0, OffSphere(
+            on_centre = dist == 0.0
+            failed.update(dict.fromkeys(rows[on_centre].tolist(), OffSphere(
                 f"candidate point coincides with the sphere center: radius {sphere.radius:g} is lost in rounding "
-                f"at a center of magnitude {abs(sphere.center).max():.3g}"))
-            x_t, off, dist = x_t[go_on], off[go_on], dist[go_on]
+                f"at a center of magnitude {abs(sphere.center).max():.3g}")))
+            x_t, off, dist, rows = x_t[~on_centre], off[~on_centre], dist[~on_centre], rows[~on_centre]
         normals = off / dist[:, None]
         g = gradient_batch(model, x_t)
-        flux = np.einsum("ij,ij->i", g, normals)
-        accept = flux < 0.0
-        if accept.all():  # every pending row is accepted: no masks to take
-            points[pending], grads[pending] = x_t, g
-            break
-        points[pending[accept]], grads[pending[accept]] = x_t[accept], g[accept]
-        pending = pending[~accept]
-    else:  # the rounds ran out with samples still pending
-        errors[int(pending[0])] = NoNegativeFlux(
-            f"no negative flux found on the sphere after {budget} attempts"
-        )
+        accept = np.einsum("ij,ij->i", g, normals) < 0.0
+        rounds, k = rounds + size, 2 * k
+        if size == 1 and not failed:  # one round, every row still in x_t: row i is pending[i]
+            if accept.all():  # every pending sample is accepted: no masks to take
+                points[pending], grads[pending] = x_t, g
+                break
+            ended = at = accept
+        else:  # each pending sample ends at its first round in the chunk that accepts or fails
+            stop = accept
+            if failed:
+                stop = np.zeros(size * p, dtype=bool)
+                stop[rows[accept]] = stop[list(failed)] = True
+            at = stop.reshape(size, p).argmax(axis=0) * p + np.arange(p)  # that round's chunk row, else round 0's
+            ended = stop[at]
+            at = at[ended]
+            if failed:
+                errors.update((int(pending[row % p]), failed[row]) for row in at.tolist() if row in failed)
+                at = np.searchsorted(rows, at)  # the x_t row of each, read only while no sample has failed
+        if not errors:
+            points[pending[ended]], grads[pending[ended]] = x_t[at], g[at]
+        pending = pending[~ended]
+        if errors:  # a sample after the lowest failed one cannot change the outcome
+            pending = pending[pending < min(errors)]
     if errors:
         raise errors[min(errors)]
     return points, grads
@@ -265,8 +292,12 @@ def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> 
     (n_samples, N) blocks, row i for sample i, so a sample's candidates do
     not depend on when the others are accepted (n_samples=1 keeps the
     stream of :func:`find_negative_flux_point` on that child).  The samples
-    are searched in lockstep, one batched gradient call per recurrence step
-    for all of them.  Raw sums are reported (no 1/n normalization);
+    are searched in lockstep, in chunks of k rounds of every sample still
+    searching: one batched gradient call of at most n_samples rows per
+    recurrence step, and one for the flux.  k is 1 for the first chunk and
+    doubles after each chunk that leaves samples searching; the rounds a
+    chunk draws past a sample's acceptance only advance the attribution's
+    private generator.  Raw sums are reported (no 1/n normalization);
     magnitudes scale with n_samples and cross-n comparisons should use rankings.
     """
     x = _check_input(model, x)  # refuses a non-finite x before the search's arithmetic warns on it

@@ -75,7 +75,7 @@ def fit_toy_model(
         else:
             p = softmax(post[-1])
             delta = (p - onehot) / n
-        _, dzs = _mlp_backward(layers, (post, pre), delta)
+        dzs = _mlp_backward(layers, (post, pre), delta)
         for layer, dz, a in zip(layers, dzs, [X] + post[:-1]):
             layer.weight -= learning_rate * (dz.T @ a)
             layer.bias -= learning_rate * dz.sum(axis=0)

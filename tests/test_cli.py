@@ -130,6 +130,21 @@ class TestVerify:
         assert res.stdout.startswith("PASS: lhs=0 rhs=0 diff=0 stderr=0")
         assert json.loads(out.read_text())["pass"] is True
 
+    @pytest.mark.parametrize("epsilon", ["3e38", "8e38"])
+    def test_a_ball_whose_volume_overflows_exits_2_and_writes_nothing(self, tmp_path, epsilon):
+        # at dim 8 the volume overflows at 3e38 and the radius's eighth power at 8e38
+        fg.save_model(fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=5,
+                                    head=fg.Head("softmax", target=0)), tmp_path / "field.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        res = run_cli("verify", "--model", str(tmp_path / "field.json"), "--epsilon", epsilon,
+                      "--samples", "500", "--out", str(out / "report.json"))
+        assert res.returncode == 2, res.stdout + res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: the ball volume of radius {float(epsilon):g} in R^8 "
+                                                       "overflows a float"), res.stderr
+        assert list(out.iterdir()) == []
+
     def test_relu_model_rejected(self, fixtures, tmp_path):
         res = run_cli(
             "verify", "--model", str(fixtures / "relu.json"),

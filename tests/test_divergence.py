@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -573,3 +574,29 @@ def test_laplacian_blocks_its_rows_and_builds_the_fold_once(monkeypatch, model, 
 def test_laplacian_of_no_rows_is_empty():
     for model in (_field_model(), fg.quadratic_model([1.0, 2.0])):
         assert fg.laplacian_batch(model, np.empty((0, model.dim))).shape == (0,)
+
+
+def test_measures_name_an_overflow_as_a_fluxgrad_value_error():
+    # at dim 8 the volume c r^8 passes the largest float near r = 3e38, and r^8 itself near r = 7e38
+    for radius, size in ((3e38, "2.7e+308"), (8e38, "6.8e+311")):
+        want = f"the ball volume of radius {radius:g} in R^8 overflows a float: about {size}"
+        with pytest.raises(fg.MeasureOverflow, match=re.escape(want)) as info:
+            fg.ball_volume(8, radius)
+        assert isinstance(info.value, fg.FluxgradError) and isinstance(info.value, ValueError)
+    assert np.isfinite(fg.sphere_area(8, 8e38))
+    with pytest.raises(fg.MeasureOverflow, match="sphere area of radius 1e\\+44 in R\\^8 overflows"):
+        fg.sphere_area(8, 1e44)
+    for radius in (8e38, 3e38):  # the report refuses the ball before it writes any estimate
+        with pytest.raises(fg.MeasureOverflow):
+            fg.divergence_theorem_report(fg.quadratic_model(np.ones(8)), SphereSpec(np.zeros(8), radius), samples=8)
+
+
+def test_measures_are_the_closed_forms_where_a_factor_leaves_the_float_range():
+    # r^60 overflows at r = 2e5, but the ball's volume, about 3.6e300, is a float
+    log_want = 30 * np.log(np.pi) - np.sum(np.log(np.arange(1.0, 31.0))) + 60 * np.log(2e5)
+    assert fg.ball_volume(60, 2e5) == pytest.approx(np.exp(log_want), rel=1e-12)
+    assert fg.ball_volume(3, 0.5) == pytest.approx(np.pi / 6.0, rel=1e-15)
+    assert fg.sphere_area(3, 0.5) == pytest.approx(np.pi, rel=1e-15)
+    for radius in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            fg.ball_volume(3, radius)

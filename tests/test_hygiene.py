@@ -8,8 +8,9 @@ one, every field of a method or evaluation config is set as a keyword by
 some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
 one place that makes an array read-only, ``models._Record.__init__`` the
 one that sets a record's fields, ``geometry._row_norms`` the one that takes
-row norms, ``models.softmax`` the one that max-shifts for an exponential, and
-no module imports ``dataclasses``.  ``__init__.py``
+row norms, ``models.softmax`` the one that max-shifts for an exponential,
+no ``except`` clause names ``OverflowError``, and no module imports
+``dataclasses``.  ``__init__.py``
 re-exports names it does not use, so it is only searched for references.
 """
 
@@ -171,3 +172,15 @@ def test_one_softmax():
         and call.args and ast.unparse(call.args[0]) == "np.maximum"
     )
     assert shifts == ["models.py:softmax"]
+
+
+def test_no_except_names_overflow_error():
+    # an overflow the library can foresee is refused as a FluxgradError, so no caller catches Python's
+    handlers = sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "OverflowError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    )
+    assert handlers == []

@@ -392,7 +392,89 @@ class TestLockstepSearch:
         rows.clear()
         fg.neflag_attribute(model, np.full(5, 0.3), cfg)
         assert len(generators) == 1
-        assert len(rows) > 2 and set(rows) == {9}
+        assert len(rows) > 2 and rows[0] == 9 and all(r % 9 == 0 for r in rows)
+
+    def test_one_draw_of_three_blocks_is_three_draws_of_one(self):
+        # a chunk of k rounds draws its k blocks at once: row i of block r must stay sample i's r-th start
+        center = np.array([0.5, -1.0, 2.0, 0.0, 3.0])
+        whole = sphere_points(np.random.default_rng(8), 27, center, 0.1)
+        rng = np.random.default_rng(8)
+        parts = np.concatenate([sphere_points(rng, 9, center, 0.1) for _ in range(3)])
+        assert whole.tobytes() == parts.tobytes()
+
+    @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_no_gradient_call_gets_more_rows_than_samples(self, monkeypatch, kw):
+        rows = []
+        monkeypatch.setattr(neflag, "gradient_batch",
+                            lambda model, xs: rows.append(len(xs)) or fg.gradient_batch(model, xs))
+        model = fg.random_mlp(5, hidden=(7,), activation="tanh", head=fg.Head("sigmoid"), seed=12)
+        x = np.random.default_rng(3).standard_normal(5)
+        for seed in range(6):
+            fg.neflag_attribute(model, x, NeflagConfig(seed=seed, n_samples=8, **kw))
+        assert rows and max(rows) <= 8
+
+    def test_a_minimum_spends_every_round_then_raises(self, monkeypatch):
+        # every start on the sphere about the minimum of a bowl has outward flux, so all
+        # six samples stay pending and each chunk is one round
+        rows = []
+        monkeypatch.setattr(neflag, "sphere_points",
+                            lambda rng, n, *a: rows.append(n) or sphere_points(rng, n, *a))
+        cfg = NeflagConfig(n_samples=6, step_rule="none")
+        with pytest.raises(fg.NoNegativeFlux, match="after 60 attempts"):
+            fg.neflag_attribute(fg.quadratic_model([1.0, 1.0]), np.zeros(2), cfg)
+        assert rows == [6] * 60  # 10 * n_samples rounds of (n_samples, N) blocks
+
+    def test_growing_chunks_stop_at_the_round_budget(self, monkeypatch):
+        # sample 0 always starts at +e1 on the field of x1, where the flux is outward;
+        # the others are accepted, so the chunks grow until its budget runs out
+        rows = []
+
+        def draw(rng, n, center, radius):
+            rows.append(n)
+            pts = sphere_points(rng, n, center, radius)
+            pts[::6] = center + [radius, 0.0]
+            return pts
+
+        monkeypatch.setattr(neflag, "sphere_points", draw)
+        cfg = NeflagConfig(n_samples=6, step_rule="none")
+        with pytest.raises(fg.NoNegativeFlux, match="after 60 attempts"):
+            fg.neflag_attribute(fg.linear_model([1.0, 0.0]), np.zeros(2), cfg)
+        assert sum(rows) == 10 * 6 * 6 and max(rows) == 6 * 6  # at most n_samples rounds of one pending sample
+
+    @pytest.mark.parametrize("rounds_of_sample_0, outcome", [
+        ("RAS", [0.0, 0.4]),  # accepted in round 1: the stationary round 2 ran in its chunk but ends nothing
+        ("RSA", fg.StationaryGradient),
+    ])
+    def test_a_sample_ends_at_its_first_round_that_accepts_or_fails(self, monkeypatch, rounds_of_sample_0, outcome):
+        # a ramp |x1| flat for |x1| < 0.01, minus relu(x2): a start's normalized step accepts (A),
+        # is rejected (R) or meets a zero gradient (S).  Samples 2 and 3 accept at once, so
+        # rounds 1 and 2 of samples 0 and 1 share one chunk, whose rows run s0 s1 s0 s1.
+        t = 0.01
+        model = fg.mlp_model([
+            fg.Layer(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([-t, -t, 0.0]), "relu"),
+            fg.Layer(np.array([[1.0, 1.0, -1.0]]), np.zeros(1), "identity"),
+        ])
+        start = {"A": [0.0, 0.1], "R": [0.1, 0.0], "S": [0.0, -0.1]}
+        script = iter([start[r] for block in zip(rounds_of_sample_0, "RRA", "AAA", "AAA") for r in block])
+        rows = []
+        monkeypatch.setattr(neflag, "sphere_points",
+                            lambda rng, n, center, radius: rows.append(n) or np.array([next(script) for _ in range(n)]))
+        cfg = NeflagConfig(n_samples=4, step_rule="normalized")
+        if isinstance(outcome, list):
+            assert np.array_equal(fg.neflag_attribute(model, np.zeros(2), cfg).values, outcome)
+        else:
+            with pytest.raises(outcome):
+                fg.neflag_attribute(model, np.zeros(2), cfg)
+        assert rows == [4, 8]
+
+    def test_chunks_cut_the_gradient_calls_of_the_none_rule(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(neflag, "gradient_batch",
+                            lambda model, xs: calls.append(len(xs)) or fg.gradient_batch(model, xs))
+        model = fg.random_mlp(5, hidden=(7,), activation="tanh", head=fg.Head("sigmoid"), seed=12)
+        for seed, x in enumerate(np.random.default_rng(3).standard_normal((8, 5))):
+            fg.neflag_attribute(model, x, NeflagConfig(seed=seed, step_rule="none"))
+        assert len(calls) == 24  # a first round and about two chunks an attribution
 
     @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
     def test_one_sample_keeps_the_stream_of_its_seed_child(self, kw):
