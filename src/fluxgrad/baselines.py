@@ -67,12 +67,18 @@ def integrated_gradients(model: Model, x, cfg: IgConfig = IgConfig()) -> Attribu
     )
 
 
-def ig_completeness_gap(model: Model, x, attribution: AttributionMap) -> float:
-    """Attribution sum minus (f(x) - f(baseline)) for the map's own baseline; near zero for good paths."""
+def _completeness(model: Model, x, attribution: AttributionMap) -> dict:
+    """The map's attribution sum, f(x) - f(baseline) for its own baseline, and the gap between them."""
     if "baseline" not in attribution.params:
         raise ValueError(f"the {attribution.method} map records no baseline")
-    baseline = attribution.params["baseline"]
-    return float(attribution.values.sum() - (evaluate(model, x) - evaluate(model, baseline)))
+    total = float(attribution.values.sum())
+    delta_f = float(evaluate(model, x) - evaluate(model, attribution.params["baseline"]))
+    return {"attribution_sum": total, "delta_f": delta_f, "gap": total - delta_f}
+
+
+def ig_completeness_gap(model: Model, x, attribution: AttributionMap) -> float:
+    """Attribution sum minus (f(x) - f(baseline)) for the map's own baseline; near zero for good paths."""
+    return _completeness(model, x, attribution)["gap"]
 
 
 def random_attribution(model: Model, x, seed: int = 0) -> AttributionMap:

@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from . import evalkit
+from .baselines import _completeness
 from .divergence import divergence_theorem_report
 from .errors import FluxgradError, NoNegativeFlux
-from .models import evaluate, load_model, model_json_str
+from .models import load_model, model_json_str
 from .neflag import SphereSpec
 from .train import fit_toy_model, load_dataset_csv
 
@@ -137,10 +138,7 @@ def cmd_attribute(args) -> int:
         return EXIT_NO_NEGATIVE_FLUX
     doc = attr.to_json()
     if args.method == "ig":
-        baseline = np.asarray(attr.params["baseline"])  # the vector IG integrated from
-        total = float(attr.values.sum())
-        delta_f = float(evaluate(model, x) - evaluate(model, baseline))
-        doc["completeness"] = {"attribution_sum": total, "delta_f": delta_f, "gap": total - delta_f}
+        doc["completeness"] = _completeness(model, x, attr)
     files = [(args.out + ".json", json.dumps(doc, indent=2, sort_keys=True) + "\n"),
              (args.out + ".csv", attr.csv_str())]
     if grid is not None:

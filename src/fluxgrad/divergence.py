@@ -19,6 +19,7 @@ import json
 
 import numpy as np
 
+from .errors import MeasureOverflow
 from .geometry import ball_volume, sphere_area, sphere_directions
 from .models import (Model, _check_input, _count, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord,
                      gradient_batch, laplacian_batch)
@@ -168,14 +169,15 @@ def divergence_theorem_report(
 ) -> DivergenceTheoremReport:
     """Cross-check the volume divergence integral against the surface flux; see
     :attr:`DivergenceTheoremReport.passed` for the verdict.  Each side needs two units (two pairs, or a pair
-    and an odd count's last row) for a standard error, so fewer than 3 samples are refused."""
+    and an odd count's last row) for a standard error, so fewer than 3 samples are refused.  Raises
+    :class:`MeasureOverflow` when either side, their difference or the standard error is not a finite float."""
     samples = _count("samples", samples, least=3)
     kids = np.random.SeedSequence(_count("seed", seed, least=0)).spawn(2)
-    lhs = volume_divergence_integral(
-        model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31)
-    )
-    rhs = surface_flux_integral(
-        model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a side past the float range is refused below
+        lhs = volume_divergence_integral(model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31))
+        rhs = surface_flux_integral(model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31))
     se = float(np.hypot(lhs.standard_error, rhs.standard_error))
-    return DivergenceTheoremReport(float(lhs.value), float(rhs.value), se, samples)
+    if not np.isfinite([lhs.value, rhs.value, lhs.value - rhs.value, se]).all():
+        raise MeasureOverflow(f"the divergence integrals over the ball of radius {sphere.radius:g} in R^{sphere.dim} "
+                              "overflow a float")
+    return DivergenceTheoremReport(lhs.value, rhs.value, se, samples)

@@ -18,7 +18,7 @@ class NonFiniteAttribution(FluxgradError, ValueError):
 
 
 class MeasureOverflow(FluxgradError, ValueError):
-    """A ball volume or sphere area exceeds the largest float."""
+    """A ball volume or sphere area, or an integral over one, exceeds the largest float."""
 
 
 class OffSphere(FluxgradError, ValueError):

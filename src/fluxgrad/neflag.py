@@ -25,9 +25,9 @@ flux.  The first chunk is one round of every sample; after every chunk
 that leaves samples searching, k, the number of rounds a chunk gives each
 of them, doubles, capped so that no call gets more than n_samples rows.
 A chunk of k rounds draws k (n_samples, N) blocks of sphere points from
-one generator at once, row i of each block for sample i; each sample ends
-at its first round that accepts or fails, and the rounds drawn past a
-sample's acceptance only advance the attribution's private generator.
+one generator at once, row i of each block for sample i; a failed row stays
+in the chunk, each sample ends at its first round that accepts or fails,
+and the rounds drawn past that only advance the private generator.
 """
 
 import numpy as np
@@ -200,13 +200,14 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
     of every block is sample i's start, so sample i's r-th candidate is
     the same whatever the chunk sizes.  A chunk makes one
     ``gradient_batch`` call per recurrence step and one at the final
-    points.  Each sample ends at its first round that accepts a negative
-    flux or fails; the rounds a chunk ran past that only advanced ``rng``.
-    Each sample has 10 * n_samples rounds.  A sample whose gradient
-    vanishes, whose point lands on the center or whose rounds run out
-    fails alone; the search then raises the error of the lowest-index
-    failed sample, the one a sample-by-sample loop would meet first, and
-    stores no point after the first failure.
+    points, over all of its rows: a row whose gradient vanishes or whose
+    point lands on the center fails with its first such error and stays.
+    Each sample ends at its first round that accepts a negative flux or
+    fails; the rounds a chunk ran past that only advanced ``rng``.  A
+    sample whose 10 * n_samples rounds run out fails too.  The search
+    raises the error of the lowest-index failed sample, the one a
+    sample-by-sample loop would meet first, and stores no point after the
+    first failure.
     """
     budget = 10 * config.n_samples
     steps = 0 if config.step_rule == "none" else config.max_steps
@@ -223,41 +224,33 @@ def _search(model: Model, sphere: SphereSpec, config: NeflagConfig, rng, n: int)
         x_t = sphere_points(rng, size * n, sphere.center, sphere.radius)
         if p < n:  # row r * p + i of the chunk is round r of sample pending[i]
             x_t = x_t.reshape(size, n, -1)[:, pending].reshape(size * p, -1)
-        rows, failed = np.arange(size * p), {}  # the chunk rows still in x_t; a failed chunk row -> its error
+        failed = {}  # a failed chunk row -> the first error it met
         for _ in range(steps):
             x_t, stationary = _steps(sphere, gradient_batch(model, x_t), config.step_rule)
-            if stationary.any():
-                failed.update(dict.fromkeys(rows[stationary].tolist(),
-                                            StationaryGradient("stationary gradient, cannot step")))
-                x_t, rows = x_t[~stationary], rows[~stationary]
+            if stationary.any():  # such a row steps onto the center
+                failed = dict.fromkeys(np.flatnonzero(stationary).tolist(),
+                                       StationaryGradient("stationary gradient, cannot step")) | failed
         off = x_t - sphere.center
         dist = _row_norms(off)
         if not dist.all():
             on_centre = dist == 0.0
-            failed.update(dict.fromkeys(rows[on_centre].tolist(), OffSphere(
+            failed = dict.fromkeys(np.flatnonzero(on_centre).tolist(), OffSphere(
                 f"candidate point coincides with the sphere center: radius {sphere.radius:g} is lost in rounding "
-                f"at a center of magnitude {abs(sphere.center).max():.3g}")))
-            x_t, off, dist, rows = x_t[~on_centre], off[~on_centre], dist[~on_centre], rows[~on_centre]
-        normals = off / dist[:, None]
+                f"at a center of magnitude {abs(sphere.center).max():.3g}")) | failed
+            dist[on_centre] = 1.0  # the row's offset is 0, and so is its normal
         g = gradient_batch(model, x_t)
-        accept = np.einsum("ij,ij->i", g, normals) < 0.0
+        stop = np.einsum("ij,ij->i", g, off / dist[:, None]) < 0.0  # the rows that accept
         rounds, k = rounds + size, 2 * k
-        if size == 1 and not failed:  # one round, every row still in x_t: row i is pending[i]
-            if accept.all():  # every pending sample is accepted: no masks to take
-                points[pending], grads[pending] = x_t, g
-                break
-            ended = at = accept
-        else:  # each pending sample ends at its first round in the chunk that accepts or fails
-            stop = accept
-            if failed:
-                stop = np.zeros(size * p, dtype=bool)
-                stop[rows[accept]] = stop[list(failed)] = True
-            at = stop.reshape(size, p).argmax(axis=0) * p + np.arange(p)  # that round's chunk row, else round 0's
-            ended = stop[at]
-            at = at[ended]
-            if failed:
-                errors.update((int(pending[row % p]), failed[row]) for row in at.tolist() if row in failed)
-                at = np.searchsorted(rows, at)  # the x_t row of each, read only while no sample has failed
+        if size == 1 and not failed and stop.all():  # every pending sample is accepted: no masks to take
+            points[pending], grads[pending] = x_t, g
+            break
+        if failed:
+            stop[list(failed)] = True
+        at = stop.reshape(size, p).argmax(axis=0) * p + np.arange(p)  # each sample's first row that stops
+        ended = stop[at]
+        at = at[ended]
+        if failed:
+            errors.update((int(pending[row % p]), failed[row]) for row in at.tolist() if row in failed)
         if not errors:
             points[pending[ended]], grads[pending[ended]] = x_t[at], g[at]
         pending = pending[~ended]

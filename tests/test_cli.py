@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -69,6 +70,26 @@ class TestAttribute:
         comp = doc["completeness"]
         assert comp["attribution_sum"] == pytest.approx(comp["delta_f"], abs=1e-9)
 
+    def test_ig_completeness_block_is_the_librarys(self, tmp_path):
+        model = fg.random_mlp(3, hidden=(5,), activation="tanh", seed=4)
+        fg.save_model(model, tmp_path / "net.json")
+        (tmp_path / "x.txt").write_text("0.5 -1.0 2.0\n")
+        (tmp_path / "b.txt").write_text("0.1 0.2 -0.3\n")
+        res = run_cli("attribute", "--model", str(tmp_path / "net.json"), "--input", str(tmp_path / "x.txt"),
+                      "--baseline", str(tmp_path / "b.txt"), "--method", "ig", "--steps", "7",
+                      "--out", str(tmp_path / "ig"))
+        assert res.returncode == 0, res.stderr
+        text = (tmp_path / "ig.json").read_text()
+        x, baseline = np.array([0.5, -1.0, 2.0]), np.array([0.1, 0.2, -0.3])
+        att = fg.integrated_gradients(model, x, fg.IgConfig(baseline, steps=7))
+        comp = json.loads(text)["completeness"]
+        assert comp["attribution_sum"] == float(att.values.sum())
+        assert comp["delta_f"] == fg.evaluate(model, x) - fg.evaluate(model, baseline)
+        assert comp["gap"] == fg.ig_completeness_gap(model, x, att) != 0.0  # 7 steps leave a gap
+        # the sha256 of the document written before the CLI and the library shared one computation
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "936d612da8262229d1aba3d8566818499fdf624d07ecd49690ccbea2e8cc9277")
+
     def test_missing_model_is_usage_error(self, fixtures, tmp_path):
         res = run_cli(
             "attribute", "--input", str(fixtures / "origin2.txt"),
@@ -130,19 +151,25 @@ class TestVerify:
         assert res.stdout.startswith("PASS: lhs=0 rhs=0 diff=0 stderr=0")
         assert json.loads(out.read_text())["pass"] is True
 
-    @pytest.mark.parametrize("epsilon", ["3e38", "8e38"])
-    def test_a_ball_whose_volume_overflows_exits_2_and_writes_nothing(self, tmp_path, epsilon):
+    FIELD = fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=5, head=fg.Head("softmax", target=0))
+
+    @pytest.mark.parametrize("epsilon, model, what", [
+        ("3e38", FIELD, "the ball volume of radius 3e+38 in R^8 overflows a float"),
+        ("8e38", FIELD, "the ball volume of radius 8e+38 in R^8 overflows a float"),
+        # the volume is a float, but the bowl's Laplacian 8 integrated over it is not
+        ("2.5e38", fg.quadratic_model(np.ones(8)), "the divergence integrals over the ball of radius 2.5e+38 in R^8 "
+                                                   "overflow a float"),
+    ], ids=["3e38", "8e38", "2.5e38"])
+    def test_a_ball_whose_volume_overflows_exits_2_and_writes_nothing(self, tmp_path, epsilon, model, what):
         # at dim 8 the volume overflows at 3e38 and the radius's eighth power at 8e38
-        fg.save_model(fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=5,
-                                    head=fg.Head("softmax", target=0)), tmp_path / "field.json")
+        fg.save_model(model, tmp_path / "field.json")
         out = tmp_path / "out"
         out.mkdir()
         res = run_cli("verify", "--model", str(tmp_path / "field.json"), "--epsilon", epsilon,
                       "--samples", "500", "--out", str(out / "report.json"))
         assert res.returncode == 2, res.stdout + res.stderr
         lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: the ball volume of radius {float(epsilon):g} in R^8 "
-                                                       "overflows a float"), res.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"error: {what}"), res.stderr
         assert list(out.iterdir()) == []
 
     def test_relu_model_rejected(self, fixtures, tmp_path):

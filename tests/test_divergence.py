@@ -505,6 +505,16 @@ def test_in_place_draws_equal_the_out_of_place_formulas(n, dim, zero_row):
     assert np.array_equal(got, _out_of_place_directions(_ZeroRowFirst(1, zero_row), n, dim))
 
 
+def test_directions_normed_in_8_row_blocks_equal_the_one_block_draw(monkeypatch):
+    # geometry reads models._BLOCK_BYTES at each draw, so a smaller budget reaches the norms
+    whole = geometry.sphere_directions(np.random.default_rng(6), 50, 8)
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 8 * 8 * 8)  # 8 rows a block
+    blocks, row_norms = [], geometry._row_norms
+    monkeypatch.setattr(geometry, "_row_norms", lambda a: blocks.append(len(a)) or row_norms(a))
+    assert geometry.sphere_directions(np.random.default_rng(6), 50, 8).tobytes() == whole.tobytes()
+    assert blocks == [8] * 6 + [2]
+
+
 @pytest.mark.parametrize("samples", [1, 513, 1537])
 def test_surface_block_draws_match_one_whole_draw(samples):
     # each 512-row block draws the directions of its 256 pairs, the stream one draw of every pair's direction
@@ -589,6 +599,11 @@ def test_measures_name_an_overflow_as_a_fluxgrad_value_error():
     for radius in (8e38, 3e38):  # the report refuses the ball before it writes any estimate
         with pytest.raises(fg.MeasureOverflow):
             fg.divergence_theorem_report(fg.quadratic_model(np.ones(8)), SphereSpec(np.zeros(8), radius), samples=8)
+    # at 2.5e38 the ball's volume is a float, but the bowl's Laplacian 8 integrated over it is not
+    assert np.isfinite(fg.ball_volume(8, 2.5e38))
+    want = "the divergence integrals over the ball of radius 2.5e+38 in R^8 overflow a float"
+    with pytest.raises(fg.MeasureOverflow, match=re.escape(want)):
+        fg.divergence_theorem_report(fg.quadratic_model(np.ones(8)), SphereSpec(np.zeros(8), 2.5e38), samples=500)
 
 
 def test_measures_are_the_closed_forms_where_a_factor_leaves_the_float_range():

@@ -9,12 +9,14 @@ some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
 one place that makes an array read-only, ``models._Record.__init__`` the
 one that sets a record's fields, ``geometry._row_norms`` the one that takes
 row norms, ``models.softmax`` the one that max-shifts for an exponential,
-no ``except`` clause names ``OverflowError``, and no module imports
-``dataclasses``.  ``__init__.py``
-re-exports names it does not use, so it is only searched for references.
+no ``except`` clause names ``OverflowError``, no module imports another's
+private constant by name, and no module imports ``dataclasses``.
+``__init__.py`` re-exports names it does not use, so it is only searched
+for references.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -184,3 +186,17 @@ def test_no_except_names_overflow_error():
         and "OverflowError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     )
     assert handlers == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_private_constant_is_imported_by_name(module):
+    # ``from .models import _BLOCK_BYTES`` copies the value once, at import, so a later change to the
+    # owner's constant, such as a test's monkeypatch, never reaches the copy; read it as models._BLOCK_BYTES
+    copies = [
+        alias.name
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if re.fullmatch(r"_[A-Z][A-Z0-9_]*", alias.name)
+    ]
+    assert copies == []

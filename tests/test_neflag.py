@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -441,31 +442,51 @@ class TestLockstepSearch:
             fg.neflag_attribute(fg.linear_model([1.0, 0.0]), np.zeros(2), cfg)
         assert sum(rows) == 10 * 6 * 6 and max(rows) == 6 * 6  # at most n_samples rounds of one pending sample
 
-    @pytest.mark.parametrize("rounds_of_sample_0, outcome", [
-        ("RAS", [0.0, 0.4]),  # accepted in round 1: the stationary round 2 ran in its chunk but ends nothing
-        ("RSA", fg.StationaryGradient),
+    @pytest.mark.parametrize("rule, rounds_of_sample_0, outcome", [
+        # accepted in round 1: the stationary round 2 ran in its chunk but ends nothing
+        pytest.param("normalized", "RAS", [0.0, 0.4], id="RAS-outcome0"),
+        pytest.param("normalized", "RSA", fg.StationaryGradient, id="RSA-StationaryGradient"),
+        # the same under the none rule, whose round 2 start is the centre itself
+        pytest.param("none", "RAC", [0.0, 0.4], id="none-RAC-outcome0"),
+        pytest.param("none", "RCA", fg.OffSphere, id="none-RCA-OffSphere"),
     ])
-    def test_a_sample_ends_at_its_first_round_that_accepts_or_fails(self, monkeypatch, rounds_of_sample_0, outcome):
+    def test_a_sample_ends_at_its_first_round_that_accepts_or_fails(self, monkeypatch, rule, rounds_of_sample_0,
+                                                                      outcome):
         # a ramp |x1| flat for |x1| < 0.01, minus relu(x2): a start's normalized step accepts (A),
-        # is rejected (R) or meets a zero gradient (S).  Samples 2 and 3 accept at once, so
-        # rounds 1 and 2 of samples 0 and 1 share one chunk, whose rows run s0 s1 s0 s1.
+        # is rejected (R) or meets a zero gradient (S); under the none rule a start accepts (A), is
+        # rejected (R) or lies on the centre (C).  Samples 2 and 3 accept at once, so rounds 1 and 2
+        # of samples 0 and 1 share one chunk, whose rows run s0 s1 s0 s1.
         t = 0.01
         model = fg.mlp_model([
             fg.Layer(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.array([-t, -t, 0.0]), "relu"),
             fg.Layer(np.array([[1.0, 1.0, -1.0]]), np.zeros(1), "identity"),
         ])
-        start = {"A": [0.0, 0.1], "R": [0.1, 0.0], "S": [0.0, -0.1]}
+        start = {"A": [0.0, 0.1], "R": [0.1, 0.0], "S": [0.0, -0.1], "C": [0.0, 0.0]}
         script = iter([start[r] for block in zip(rounds_of_sample_0, "RRA", "AAA", "AAA") for r in block])
         rows = []
         monkeypatch.setattr(neflag, "sphere_points",
                             lambda rng, n, center, radius: rows.append(n) or np.array([next(script) for _ in range(n)]))
-        cfg = NeflagConfig(n_samples=4, step_rule="normalized")
+        cfg = NeflagConfig(n_samples=4, step_rule=rule)
         if isinstance(outcome, list):
             assert np.array_equal(fg.neflag_attribute(model, np.zeros(2), cfg).values, outcome)
         else:
             with pytest.raises(outcome):
                 fg.neflag_attribute(model, np.zeros(2), cfg)
         assert rows == [4, 8]
+
+    def test_a_stationary_step_fails_its_candidate_though_a_later_step_accepts(self, monkeypatch):
+        # relu(x1 + 0.2 - 10 relu(-x2 - 0.05)) is flat at the start (0, -0.1), so the first sign step lands on
+        # the centre, where the gradient is e1; the second reaches (-0.1, 0), whose flux is negative
+        model = fg.mlp_model([
+            fg.Layer(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, -0.05]), "relu"),
+            fg.Layer(np.array([[1.0, -10.0]]), np.array([-0.8]), "relu"),
+            fg.Layer(np.array([[1.0]]), np.zeros(1), "identity"),
+        ])
+        assert neflag.flux_at(model, SphereSpec(np.zeros(2), 0.1), [-0.1, 0.0]).is_negative
+        monkeypatch.setattr(neflag, "sphere_points", lambda rng, n, center, radius: np.tile([0.0, -0.1], (n, 1)))
+        for n in (1, 3):
+            with pytest.raises(fg.StationaryGradient):
+                fg.neflag_attribute(model, np.zeros(2), NeflagConfig(n_samples=n, max_steps=2))
 
     def test_chunks_cut_the_gradient_calls_of_the_none_rule(self, monkeypatch):
         calls = []
@@ -475,6 +496,27 @@ class TestLockstepSearch:
         for seed, x in enumerate(np.random.default_rng(3).standard_normal((8, 5))):
             fg.neflag_attribute(model, x, NeflagConfig(seed=seed, step_rule="none"))
         assert len(calls) == 24  # a first round and about two chunks an attribution
+
+    PINNED = {
+        "sign": "ff7e2dd563a5185b29ccfda23b700634dc932b54f4bc8ade2df0438b57d2e77c",
+        "normalized-m5": "35183fc9aabebc2a455ca6653edb8d55cd5596ef0de42f251b243cec2d9cc212",
+        "none": "c6422ed466308f90cfeae9a84503b37a64b196ccb90521f7ce4dc93036508b6f",
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_maps_are_pinned(self, name):
+        # The sha256 of 16 maps at each of two seeds on the criterion-10 toy fit, recorded before a failed
+        # row stayed in its chunk: any drift in a map fails here.  The none rule's maps take chunks of many rounds.
+        w = [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        fit = fg.fit_toy_model(*fg.linear_rule_dataset(w, n=400, seed=5), hidden=(8,), epochs=500,
+                               learning_rate=0.5, seed=2)
+        digest = hashlib.sha256()
+        for seed in (31, 104729):
+            xs, _ = fg.linear_rule_dataset(w, n=16, seed=seed)
+            for j, x in enumerate(xs):
+                cfg = NeflagConfig(seed=seed + j, **self.CONFIGS[name])
+                digest.update(fg.neflag_attribute(fit.model, x, cfg).values.tobytes())
+        assert digest.hexdigest() == self.PINNED[name]
 
     @pytest.mark.parametrize("kw", CONFIGS.values(), ids=CONFIGS.keys())
     def test_one_sample_keeps_the_stream_of_its_seed_child(self, kw):
