@@ -5,13 +5,12 @@ The volume side integrates the exact Laplacian, from a forward-mode pass
 the reverse-mode gradient, dot-product or element-wise, optionally over a
 flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
 differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
-draw antithetic pairs: each direction u is used twice, as u and as exactly -u,
-so ``samples`` model rows take ceil(samples / 2) directions and an odd count's
-last row is unpaired.  An estimate's units are the pair means (and that row),
-and its value and standard error are theirs.  Both sides reach the model in
-row blocks (``models._row_blocks``) of at most 128 KiB of (rows x N)
-gradients, or of (rows x width) at an mlp's widest layer; the surface side
-draws each block's directions in turn, the same stream as one draw, and
+draw antithetic pairs in one call: ceil(samples / 2) directions, each used as
+u and as exactly -u, so an odd count's last row is unpaired.  An estimate's
+units are the pair means (and that row), and its value and standard error are
+theirs.  Both sides reach the model in row blocks (``models._row_blocks``) of
+at most 128 KiB of (rows x N) gradients, or of (rows x width) at an mlp's
+widest layer: the surface side calls ``gradient_batch`` a block at a time, and
 ``laplacian_batch`` takes every ball point and runs the blocks itself.
 """
 
@@ -53,13 +52,14 @@ def _mirrored(u: np.ndarray, k: int) -> np.ndarray:
 
 def _estimate(vals: np.ndarray, scale: float) -> IntegralEstimate:
     """scale * the mean of the units of vals, rows laid out as :func:`_mirrored` lays out their points, and its
-    standard error; floats if vals is a vector.  The units are each pair's mean, then an odd count's last row."""
-    units = np.concatenate((0.5 * (vals[:-1:2] + vals[1::2]), vals[len(vals) - len(vals) % 2:]))
-    n = len(units)
-    value = scale * units.mean(axis=0)
-    se = scale * units.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(value)
-    if units.ndim == 1:
-        value, se = float(value), float(se)
+    standard error; floats if vals is a vector.  The units are each pair's mean, then an odd count's last row.
+    Raises :class:`MeasureOverflow` when the value or the standard error is not a finite float."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a result past the float range is refused below
+        units = np.concatenate((0.5 * (vals[:-1:2] + vals[1::2]), vals[len(vals) - len(vals) % 2:]))
+        value = scale * units.mean(axis=0)
+        se = scale * units.std(axis=0, ddof=1) / np.sqrt(len(units)) if len(units) > 1 else np.zeros_like(value)
+    if not np.isfinite((value, se)).all():
+        raise MeasureOverflow(f"a Monte Carlo estimate over a measure of {scale:g} overflows a float")
     return IntegralEstimate(value, se, len(vals))
 
 
@@ -87,12 +87,10 @@ def volume_divergence_integral(
     standard error is the pair means' (an odd count's last point is a unit on its own).
     """
     samples = _count("samples", samples)
-    rng, pairs = np.random.default_rng(_count("seed", seed, least=0)), samples - samples // 2
-    offsets = sphere_directions(rng, pairs, ball.dim)
-    offsets *= (ball.radius * rng.random(pairs) ** (1.0 / ball.dim))[:, None]  # scaled in place
-    pts = _mirrored(offsets, samples)
-    del offsets  # freed before the Laplacian's block temporaries
-    pts += ball.center
+    rng = np.random.default_rng(_count("seed", seed, least=0))
+    pts = _mirrored(sphere_directions(rng, samples - samples // 2, ball.dim), samples)
+    pts *= np.repeat(ball.radius * rng.random(samples - samples // 2) ** (1.0 / ball.dim), 2)[:samples, None]
+    pts += ball.center  # scaled and shifted in place, before the Laplacian's block temporaries
     return _estimate(laplacian_batch(model, pts), ball_volume(ball.dim, ball.radius))
 
 
@@ -110,8 +108,7 @@ def surface_flux_integral(
     the vector F * n per coordinate.  ``subset`` restricts to points whose
     dot-product flux is negative (< 0) or positive (>= 0); excluded points
     contribute zero, so negative + positive = all on the same sample set.
-    The ``samples`` points are pairs c + eps u with normal u and c - eps u with normal -u; the standard error
-    is the pair means' (an odd count's last point is a unit on its own), and a uniform field's flux is 0.
+    The ``samples`` points are pairs c + eps u and c - eps u, normals u and -u, so a uniform field's flux is 0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -119,16 +116,14 @@ def surface_flux_integral(
         raise ValueError(f"unknown subset {subset!r}")
     samples = _count("samples", samples)
     rng, vals = np.random.default_rng(_count("seed", seed, least=0)), []
-    for rows in _row_blocks(model, samples, model.dim, unit=2):  # block draws continue one stream
-        k = rows.stop - rows.start
-        normals = _mirrored(sphere_directions(rng, k - k // 2, sphere.dim), k)
-        grads = gradient_batch(model, sphere.center + sphere.radius * normals)
-        flux = np.einsum("ij,ij->i", grads, normals)
-        if subset == "all":  # no mask: every point counts
-            vals.append(flux if mode == "dot" else grads * normals)
-            continue
-        mask = flux < 0.0 if subset == "negative" else flux >= 0.0
-        vals.append(np.where(mask, flux, 0.0) if mode == "dot" else grads * normals * mask[:, None])
+    normals = _mirrored(sphere_directions(rng, samples - samples // 2, sphere.dim), samples)
+    for u in (normals[rows] for rows in _row_blocks(model, samples, model.dim)):
+        grads = gradient_batch(model, sphere.center + sphere.radius * u)
+        flux = np.einsum("ij,ij->i", grads, u)
+        if subset != "all":  # an excluded point contributes zero
+            keep = flux < 0.0 if subset == "negative" else flux >= 0.0
+            flux, grads = np.where(keep, flux, 0.0), grads * keep[:, None]
+        vals.append(flux if mode == "dot" else grads * u)
     return _estimate(np.concatenate(vals), sphere_area(sphere.dim, sphere.radius))
 
 
@@ -172,12 +167,17 @@ def divergence_theorem_report(
     and an odd count's last row) for a standard error, so fewer than 3 samples are refused.  Raises
     :class:`MeasureOverflow` when either side, their difference or the standard error is not a finite float."""
     samples = _count("samples", samples, least=3)
+    ball_volume(sphere.dim, sphere.radius), sphere_area(sphere.dim, sphere.radius)  # a measure's overflow names itself
     kids = np.random.SeedSequence(_count("seed", seed, least=0)).spawn(2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a side past the float range is refused below
-        lhs = volume_divergence_integral(model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31))
-        rhs = surface_flux_integral(model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31))
-    se = float(np.hypot(lhs.standard_error, rhs.standard_error))
-    if not np.isfinite([lhs.value, rhs.value, lhs.value - rhs.value, se]).all():
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused, not warned of
+            lhs = volume_divergence_integral(model, sphere, samples, np.random.default_rng(kids[0]).integers(2**31))
+            rhs = surface_flux_integral(model, sphere, samples, np.random.default_rng(kids[1]).integers(2**31))
+            se = float(np.hypot(lhs.standard_error, rhs.standard_error))
+        finite = np.isfinite((lhs.value - rhs.value, se)).all()
+    except MeasureOverflow:
+        finite = False
+    if not finite:
         raise MeasureOverflow(f"the divergence integrals over the ball of radius {sphere.radius:g} in R^{sphere.dim} "
                               "overflow a float")
     return DivergenceTheoremReport(lhs.value, rhs.value, se, samples)

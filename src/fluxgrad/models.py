@@ -344,8 +344,8 @@ def _first_stage(model: Model, xs):
     if model.kind == "quadratic":
         lam, c = p
         return np.sum(lam * (xs - c) ** 2, axis=1)[:, None]
-    centers = p[1]
-    return ((xs[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):  # a squared distance past the float range has an exponential of exactly 0
+        return ((xs[:, None, :] - p[1][None, :, :]) ** 2).sum(axis=2)
 
 
 def _feature_terms(model: Model, v, rows):
@@ -393,10 +393,8 @@ def _raw_grad_batch(model: Model, xs, forward, cotangent):
         lam, c = p
         return scale * (lam * (xs - c))
     weights, centers, sigmas = p
-    d = xs[:, None, :] - centers[None, :, :]
-    d2 = (d**2).sum(axis=2)
-    coef = weights * np.exp(-d2 / (2.0 * sigmas**2)) / sigmas**2
-    return scale * -(coef[:, :, None] * d).sum(axis=1)
+    coef = weights * np.exp(-_first_stage(model, xs) / (2.0 * sigmas**2)) / sigmas**2
+    return scale * -(coef[:, :, None] * (xs[:, None, :] - centers[None, :, :])).sum(axis=1)
 
 
 def evaluate_batch(model: Model, xs) -> np.ndarray:
@@ -413,12 +411,12 @@ def path_change(model: Model, start, target):
     return _first_stage(model, start), _first_stage(model, target), change
 
 
-def _row_blocks(model: Model, n: int, width: int, unit: int = 1) -> list:
-    """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES and, but the last, a multiple of
-    unit rows (at least one unit); an mlp's width is its widest layer."""
+def _row_blocks(model: Model, n: int, width: int) -> list:
+    """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES (at least one row); an mlp's
+    width is its widest layer.  Rows drawn in units, as divergence's pairs are, are drawn whole beforehand."""
     if model.kind == "mlp":
         width = max(layer.weight.shape[0] for layer in model.params)
-    rows = max(1, _BLOCK_BYTES // (8 * width) // unit) * unit
+    rows = max(1, _BLOCK_BYTES // (8 * width))
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
@@ -539,7 +537,8 @@ def _block_laplacian(model: Model, xs, fold):
             lap = np.full_like(raw, np.sum(model.params[0]))
         else:  # sum_j w_j e^(-r^2 / 2 sigma^2) (r^2 / sigma^4 - N / sigma^2), with r^2 = s_j
             w, _, sig = model.params
-            lap = np.sum(w * np.exp(-s / (2.0 * sig**2)) * (s / sig**4 - model.dim / sig**2), axis=1, keepdims=True)
+            e = w * np.exp(-s / (2.0 * sig**2))  # where e is 0, r^2 may be inf: the term is 0, never 0 * inf
+            lap = np.sum(e * (np.where(e != 0.0, s, 0.0) / sig**4 - model.dim / sig**2), axis=1, keepdims=True)
     h = model.head
     if h.type == "identity" or h.use_logit:
         return lap[:, h.target or 0]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -534,6 +535,35 @@ def test_surface_block_draws_match_one_whole_draw(samples):
             assert np.array_equal(got.value, want.value) and np.array_equal(got.standard_error, want.standard_error)
 
 
+@pytest.mark.parametrize("samples", [1, 513, 10_000])
+@pytest.mark.parametrize("integral", [fg.volume_divergence_integral, fg.surface_flux_integral])
+def test_each_side_draws_its_directions_in_one_call(monkeypatch, integral, samples):
+    calls, draw = [], fg.divergence.sphere_directions
+    monkeypatch.setattr(fg.divergence, "sphere_directions", lambda *a: calls.append(a[1]) or draw(*a))
+    integral(_field_model(), SphereSpec(np.full(8, 0.1), 0.5), samples, seed=4)
+    assert calls == [samples - samples // 2]
+
+
+def test_reports_are_pinned():
+    # The sha256 of verify-field's 8 reports (its model and 4 centres at seeds 31 and 104729, 10,000 samples),
+    # and of the element-wise negative-flux surface estimate at 513 and 1,537 samples, recorded while the
+    # surface side drew its directions a block at a time: any drift in a report or an estimate fails here.
+    reports = hashlib.sha256()
+    for seed in (31, 104729):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+        model = fg.random_mlp(8, hidden=(32,), out_dim=3, activation="tanh", seed=int(rng.integers(2**31)),
+                              head=fg.Head("softmax", target=0))
+        for sphere, mc_seed in [(SphereSpec(0.5 * rng.standard_normal(8), 0.5), int(rng.integers(2**31)))
+                                for _ in range(4)]:
+            reports.update(fg.divergence_theorem_report(model, sphere, 10_000, seed=mc_seed).json_str().encode())
+    surface = hashlib.sha256()
+    for samples in (513, 1537):
+        est = fg.surface_flux_integral(_field_model(), SphereSpec(np.full(8, 0.1), 0.5), samples, seed=4,
+                                       mode="elementwise", subset="negative")
+        surface.update(est.value.tobytes() + est.standard_error.tobytes())
+    assert reports.hexdigest() == "0245a72471e834f32bb621403f886a1bc49e7ae55285bb56eb18ee7860894eac"
+    assert surface.hexdigest() == "b8a2bd5c92a64f61b2c1fdf148c93224141b7efe5fdee29441ccfe1beaf51fc6"
+
 @pytest.mark.parametrize("samples", [1, 513, 1537])  # 512 rows a block for this model
 def test_sample_counts_off_the_block_size(samples):
     model, sphere = _field_model(), SphereSpec(np.full(8, 0.1), 0.5)
@@ -605,6 +635,12 @@ def test_measures_name_an_overflow_as_a_fluxgrad_value_error():
     with pytest.raises(fg.MeasureOverflow, match=re.escape(want)):
         fg.divergence_theorem_report(fg.quadratic_model(np.ones(8)), SphereSpec(np.zeros(8), 2.5e38), samples=500)
 
+
+@pytest.mark.parametrize("integral", [fg.volume_divergence_integral, fg.surface_flux_integral])
+def test_each_integral_refuses_its_own_overflow(integral):
+    # the ball's measure is a float, but the bowl's Laplacian 8 over it, or its flux over the sphere, is not
+    with pytest.raises(fg.MeasureOverflow, match="a Monte Carlo estimate over a measure of .* overflows a float"):
+        integral(fg.quadratic_model(np.ones(8)), SphereSpec(np.zeros(8), 2.5e38), 500)
 
 def test_measures_are_the_closed_forms_where_a_factor_leaves_the_float_range():
     # r^60 overflows at r = 2e5, but the ball's volume, about 3.6e300, is a float

@@ -688,3 +688,13 @@ def test_counts_must_be_integers(count):
         get(0)
     got, want = get(np.int64(3)), get(3)
     assert got == want and type(got) is type(want)
+
+
+def test_a_gaussian_term_far_from_its_centres_is_exactly_zero():
+    # every squared distance passes the float range, so each exponential is exactly 0: the value, the gradient
+    # and the Laplacian are 0, with no overflow warning and no 0 * inf in the Laplacian's r^2 / sigma^4 factor
+    model = fg.gauss_mixture_model([1.0, 0.5], [[0, 0, 0, 0], [1, 1, 1, 1]], [1.0, 2.0])
+    x = np.array([[1.0, -1.0, 0.5, 2.0]]) * 1e154
+    assert np.array_equal(fg.evaluate_batch(model, x), [0.0])
+    assert np.array_equal(fg.gradient_batch(model, x), np.zeros((1, 4)))
+    assert np.array_equal(fg.laplacian_batch(model, x), [0.0])
