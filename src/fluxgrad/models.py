@@ -169,13 +169,11 @@ class Head(_Record):
     def __init__(self, type: str = "identity", target: int | None = None, use_logit: bool = False):
         if type not in HEADS:
             raise ValueError(f"unknown head type {type!r}")
-        if type == "softmax" and target is None:
-            raise ValueError("softmax head requires a target index")
         if type == "softmax":
-            if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
-                raise ValueError(f"softmax target must be an integer, got {target!r}")
-            target = int(target)  # a numpy integer too, which a model file cannot hold
-        if type != "softmax" and (target is not None or use_logit):
+            if target is None:
+                raise ValueError("softmax head requires a target index")
+            target = _count("softmax target", target, least=0)  # a numpy integer too, held as a file holds it
+        elif target is not None or use_logit:
             raise ValueError(f"{type} head takes no target or logit setting")
         super().__init__(type, target, use_logit)
 
@@ -251,7 +249,7 @@ class Model(_Record):
         if head.type == "softmax":
             if kind != "mlp" or k < 2:
                 raise ValueError("softmax head requires an mlp with >= 2 logits")
-            if not 0 <= head.target < k:
+            if head.target >= k:
                 raise ValueError("softmax target out of range")
         elif k != 1:
             raise ValueError(f"{head.type} head requires a single raw output")
@@ -361,28 +359,27 @@ def _feature_terms(model: Model, v, rows):
 
 
 def _rest(model: Model, s):
-    """Raw (n, K) output from first stages s, plus the forward pass of an mlp (which consumes s)."""
+    """Raw (n, K) output from first stages s, and the forward pass its gradient and Laplacian read: an mlp's
+    (post, pre), which consumes s; a gauss-mixture's (s, e), e = w exp(-s / 2 sigma^2), whose row sums are raw;
+    None for the others."""
     p = model.params
     if model.kind == "mlp":
         post, pre = _mlp_from_first(p, s)
         return post[-1], (post, pre)
-    if model.kind == "linear":
-        raw = s[:, 0] + p[1]
-    elif model.kind == "quadratic":
-        raw = 0.5 * s[:, 0]
-    else:
-        weights, _, sigmas = p
-        raw = np.sum(weights * np.exp(-s / (2.0 * sigmas**2)), axis=1)
-    return raw[:, None], None
+    if model.kind == "gauss-mixture":
+        e = p[0] * np.exp(-s / (2.0 * p[2] ** 2))
+        return np.sum(e, axis=1)[:, None], (s, e)
+    return s + p[1] if model.kind == "linear" else 0.5 * s, None
 
 
 def _raw_batch(model: Model, xs):
-    """Raw (n, K) output before the head, plus the forward pass of an mlp."""
+    """Raw (n, K) output before the head, plus the forward pass :func:`_rest` gives."""
     return _rest(model, _first_stage(model, xs))
 
 
 def _raw_grad_batch(model: Model, xs, forward, cotangent):
-    """Gradient of (cotangent . raw output) w.r.t. the inputs, per row."""
+    """Gradient of (cotangent . raw output) w.r.t. the inputs, per row, from ``forward``, the :func:`_raw_batch`
+    forward pass of xs: an mlp backpropagates through it, a gauss-mixture reads its exponentials e."""
     p = model.params
     if model.kind == "mlp":
         return _mlp_backward(p, forward, cotangent)[0] @ p[0].weight
@@ -392,9 +389,11 @@ def _raw_grad_batch(model: Model, xs, forward, cotangent):
     if model.kind == "quadratic":
         lam, c = p
         return scale * (lam * (xs - c))
-    weights, centers, sigmas = p
-    coef = weights * np.exp(-_first_stage(model, xs) / (2.0 * sigmas**2)) / sigmas**2
-    return scale * -(coef[:, :, None] * (xs[:, None, :] - centers[None, :, :])).sum(axis=1)
+    coef = forward[1] / p[2] ** 2
+    with np.errstate(over="ignore"):  # a difference past the float range squares to s = inf, whose e is exactly 0
+        diff = xs[:, None, :] - p[1][None, :, :]
+    diff[coef == 0.0] = 0.0  # so where e is 0 the term is 0, never 0 * inf
+    return scale * -(coef[:, :, None] * diff).sum(axis=1)
 
 
 def evaluate_batch(model: Model, xs) -> np.ndarray:
@@ -528,16 +527,14 @@ def _block_laplacian(model: Model, xs, fold):
     if model.kind == "mlp":
         raw, lap, t = _mlp_laplacian(model.params, xs, fold)
     else:
-        s = _first_stage(model, xs)
-        raw = _rest(model, s)[0]
-        t = _raw_grad_batch(model, xs, None, np.ones_like(raw)).T[:, None]
+        raw, forward = _raw_batch(model, xs)
+        t = _raw_grad_batch(model, xs, forward, np.ones_like(raw)).T[:, None]
         if model.kind == "linear":
             lap = np.zeros_like(raw)
         elif model.kind == "quadratic":
             lap = np.full_like(raw, np.sum(model.params[0]))
-        else:  # sum_j w_j e^(-r^2 / 2 sigma^2) (r^2 / sigma^4 - N / sigma^2), with r^2 = s_j
-            w, _, sig = model.params
-            e = w * np.exp(-s / (2.0 * sig**2))  # where e is 0, r^2 may be inf: the term is 0, never 0 * inf
+        else:  # sum_j e_j (r^2 / sigma^4 - N / sigma^2), with r^2 = s_j; where e is 0, r^2 may be inf: the term is 0
+            (s, e), sig = forward, model.params[2]
             lap = np.sum(e * (np.where(e != 0.0, s, 0.0) / sig**4 - model.dim / sig**2), axis=1, keepdims=True)
     h = model.head
     if h.type == "identity" or h.use_logit:

@@ -5,7 +5,7 @@ radius epsilon around x where the gradient field flows inward (negative
 flux F(x~) . n), and summing the element-wise products F(x~) * (x - x~)
 over those points.  Candidate points are refined by a fixed-point
 recurrence that steps from the sphere center against the gradient
-direction, in one of two flavors:
+direction, or kept as drawn, by one of three step rules:
 
 * ``sign``        -- x~ = x - eps * sign(F(u)), a componentwise step from the
   previous point u that lands on a hypercube corner at L2 distance

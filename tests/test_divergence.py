@@ -357,9 +357,9 @@ def _explicit_gram_laplacian(model, xs):
         raw, lap, t = models._mlp_laplacian(model.params, xs, models._laplacian_fold(model.params))
         gram = np.einsum("ikn,iln->nkl", t, t)
     else:
-        raw = models._raw_batch(model, xs)[0]
+        raw, forward = models._raw_batch(model, xs)
         lap = fg.laplacian_batch(model._replace(head=fg.Head()), xs)[:, None]  # the raw Laplacian
-        gram = np.sum(models._raw_grad_batch(model, xs, None, np.ones_like(raw)) ** 2, axis=1)[:, None, None]
+        gram = np.sum(models._raw_grad_batch(model, xs, forward, np.ones_like(raw)) ** 2, axis=1)[:, None, None]
     h = model.head
     if h.type == "identity" or h.use_logit:
         return lap[:, h.target or 0]

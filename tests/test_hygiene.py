@@ -176,6 +176,18 @@ def test_one_softmax():
     assert shifts == ["models.py:softmax"]
 
 
+def test_one_exponential_per_stage():
+    # a gradient or a Laplacian reads the exponentials of its forward pass; a second np.exp forms them again
+    exps = sorted({
+        f"{module}:{getattr(node, 'name', '<module>')}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "np.exp"
+    })
+    assert exps == ["models.py:_act", "models.py:_rest", "models.py:expit", "models.py:softmax"]
+
+
 def test_no_except_names_overflow_error():
     # an overflow the library can foresee is refused as a FluxgradError, so no caller catches Python's
     handlers = sorted(

@@ -496,6 +496,10 @@ BAD_MODELS = {
         lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=True)),
         _mlp_doc(3, {"type": "softmax", "target": True}),
         "softmax target must be an integer, got True"),
+    "softmax-target-negative": (  # Head refuses it before a Model compares it with the logit count
+        lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("softmax", target=-1)),
+        _mlp_doc(3, {"type": "softmax", "target": -1}),
+        "softmax target must be >= 0"),
     "sigmoid-many-outputs": (
         lambda: fg.random_mlp(2, out_dim=3, head=fg.Head("sigmoid")),
         _mlp_doc(3, {"type": "sigmoid"}),
@@ -690,11 +694,56 @@ def test_counts_must_be_integers(count):
     assert got == want and type(got) is type(want)
 
 
-def test_a_gaussian_term_far_from_its_centres_is_exactly_zero():
+FAR_GAUSSIANS = {
+    "squares-overflow": (fg.gauss_mixture_model([1.0, 0.5], [[0, 0, 0, 0], [1, 1, 1, 1]], [1.0, 2.0]),
+                         np.array([[1.0, -1.0, 0.5, 2.0]]) * 1e154),
+    "difference-overflows": (fg.gauss_mixture_model([1.0], [[-1.7e308, 1.7e308, 0.0, 0.0]], [1.0]),
+                             np.array([[1.7e308, -1.7e308, 0.0, 0.0]])),  # x and mu at opposite ends of the range
+}
+
+
+@pytest.mark.parametrize("model, x", FAR_GAUSSIANS.values(), ids=FAR_GAUSSIANS.keys())
+def test_a_gaussian_term_far_from_its_centres_is_exactly_zero(model, x):
     # every squared distance passes the float range, so each exponential is exactly 0: the value, the gradient
-    # and the Laplacian are 0, with no overflow warning and no 0 * inf in the Laplacian's r^2 / sigma^4 factor
-    model = fg.gauss_mixture_model([1.0, 0.5], [[0, 0, 0, 0], [1, 1, 1, 1]], [1.0, 2.0])
-    x = np.array([[1.0, -1.0, 0.5, 2.0]]) * 1e154
+    # and the Laplacian are 0, with no overflow warning and no 0 * inf in the gradient's x - mu or the
+    # Laplacian's r^2 / sigma^4 factor
     assert np.array_equal(fg.evaluate_batch(model, x), [0.0])
     assert np.array_equal(fg.gradient_batch(model, x), np.zeros((1, 4)))
     assert np.array_equal(fg.laplacian_batch(model, x), [0.0])
+
+
+CLOSED_FORMS = {
+    "linear": lambda rng, head: fg.linear_model(rng.standard_normal(6), 0.3, head),
+    "quadratic": lambda rng, head: fg.quadratic_model(rng.uniform(-1.0, 2.0, 6), rng.standard_normal(6), head),
+    "gauss-mixture": lambda rng, head: fg.gauss_mixture_model([1.0, -0.5, 2.0], rng.standard_normal((3, 6)),
+                                                              [0.7, 1.0, 1.5], head),
+}
+
+
+def test_closed_form_oracles_are_pinned():
+    # The sha256 of evaluate_batch, gradient_batch and laplacian_batch on each closed form under both heads it
+    # takes, at 1, 7 and 3,000 rows (two Laplacian blocks of 6-wide rows), every fifth row 30 times as far out, so
+    # some exponentials are exactly 0; recorded while the gradient and the Laplacian formed their own exponentials.
+    digest, rng = hashlib.sha256(), np.random.default_rng(29)
+    for build in CLOSED_FORMS.values():
+        for head in (fg.Head(), fg.Head("sigmoid")):
+            model = build(rng, head)
+            for n in (1, 7, 3000):
+                xs = 2.0 * rng.standard_normal((n, 6))
+                xs[::5] *= 30.0
+                for oracle in BATCH_ORACLES.values():
+                    digest.update(oracle(model, xs).tobytes())
+    assert digest.hexdigest() == "98f2deee5b1d9805159c878b3d7ae7b1ec734012b97be8af3b8221b59be22195"
+
+
+def test_a_gaussian_oracle_forms_each_first_stage_once(monkeypatch):
+    # the gradient and the Laplacian read the squared distances and the exponentials of the one forward pass
+    model = CLOSED_FORMS["gauss-mixture"](np.random.default_rng(3), fg.Head("sigmoid"))
+    calls = []
+    first = models._first_stage
+    monkeypatch.setattr(models, "_first_stage", lambda m, xs: calls.append(len(xs)) or first(m, xs))
+    fg.gradient_batch(model, np.ones((5, 6)))
+    assert calls == [5]
+    calls.clear()
+    fg.laplacian_batch(model, np.ones((3000, 6)))  # two blocks
+    assert calls == [2730, 270]
