@@ -4,8 +4,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NonFiniteAttribution
-from .models import _readonly, _Record
+from .errors import DimensionMismatch, NonFiniteAttribution
+from .models import _count, _readonly, _Record
 
 
 class AttributionMap(_Record):
@@ -57,8 +57,9 @@ class AttributionMap(_Record):
         vector, row-major.
         """
         h, w = grid
+        h, w = _count("grid height", h), _count("grid width", w)
         if h * w != self.values.size:
-            raise ValueError(f"grid {h}x{w} does not match {self.values.size} features")
+            raise DimensionMismatch(f"grid {h}x{w} does not match {self.values.size} features")
         mag = np.abs(self.values).reshape(h, w)
         lo, hi = mag.min(), mag.max()
         span = hi - lo

@@ -4,7 +4,8 @@ gradients, and straight-line path-integrated gradients."""
 import numpy as np
 
 from .attribution import AttributionMap
-from .models import Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
+from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate, gradient,
+                     gradient_batch)
 
 
 class SmoothGradConfig(_ValueRecord):
@@ -13,9 +14,7 @@ class SmoothGradConfig(_ValueRecord):
     __slots__ = _fields = ("sigma", "samples", "seed")
 
     def __init__(self, sigma: float = 0.1, samples: int = 50, seed: int = 0):
-        if not 0 <= sigma < np.inf:
-            raise ValueError("sigma must be >= 0 and finite")
-        super().__init__(sigma, _count("samples", samples), _count("seed", seed, least=0))
+        super().__init__(_real("sigma", sigma, zero=True), _count("samples", samples), _count("seed", seed, least=0))
 
 
 class IgConfig(_Record):

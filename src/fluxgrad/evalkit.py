@@ -23,8 +23,8 @@ from .baselines import (
     smoothgrad,
 )
 from .errors import DimensionMismatch, FluxgradError
-from .models import (Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate_batch, path_change,
-                     path_scores)
+from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate_batch,
+                     path_change, path_scores)
 from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
@@ -202,9 +202,7 @@ def make_method(name: str, **params):
         def run(model, x, seed):
             return saliency(model, x)
     elif name == "taylor":
-        epsilon = params.get("epsilon", 0.1)
-        if not 0 < epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
+        epsilon = _real("epsilon", params.get("epsilon", 0.1))
 
         def run(model, x, seed):
             x = _check_input(model, x)

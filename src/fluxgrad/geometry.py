@@ -18,8 +18,7 @@ def _measure(what: str, dim: int, log_c: float, power: int, radius: float) -> fl
     float.  Where c and radius**power lie well inside the float range, the
     result is their product; elsewhere it is the exponential of the log.
     """
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    radius = models._real("radius", radius)
     log_r = power * math.log(radius)
     if log_c + log_r > _LOG_MAX:
         exponent, mantissa = divmod((log_c + log_r) / math.log(10.0), 1.0)
@@ -33,16 +32,14 @@ def sphere_area(dim: int, radius: float) -> float:
 
     Uses the Gamma-function closed form 2 pi^(d/2) r^(d-1) / Gamma(d/2).
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = models._count("dim", dim)
     log_a = math.log(2.0) + 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim)
     return _measure("sphere area", dim, log_a, dim - 1, radius)
 
 
 def ball_volume(dim: int, radius: float) -> float:
     """Volume of the solid ball of the given radius in R^dim."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = models._count("dim", dim)
     log_v = 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
     return _measure("ball volume", dim, log_v, dim, radius)
 

@@ -21,6 +21,7 @@ threads.  Evaluation and gradients are vectorized internally; the public
 """
 
 import json
+import sys
 from functools import reduce
 
 import numpy as np
@@ -97,6 +98,16 @@ def _count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def _real(name: str, value, zero: bool = False) -> float:
+    """value as a float: a ValueError unless it is a real number, numpy's too but not a bool, that is finite and
+    positive, or with ``zero`` finite and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (0 < value < np.inf or zero and value == 0):
+        raise ValueError(f"{name} must be {'>= 0' if zero else 'positive'} and finite")
+    return float(value)
 
 
 class _Record:
@@ -217,6 +228,11 @@ def _checked_params(kind: str, params):
             raise ValueError("component counts disagree")
         if np.any(sigmas <= 0):
             raise ValueError("sigmas must be positive")
+        with np.errstate(over="ignore", under="ignore"):  # the Laplacian divides by sigma^4
+            fourth = sigmas**4
+        normal = (sys.float_info.min <= fourth) & (fourth <= sys.float_info.max)
+        if not normal.all():
+            raise ValueError(f"sigma {sigmas[~normal][0]} leaves the float range: sigma^4 must be a normal float")
         params = arrays = (weights, centers, sigmas)
         n, axes = centers.shape[1], (1, 2, 1)
     if any(a.ndim != k for a, k in zip(arrays, axes)):
@@ -564,9 +580,7 @@ def fd_gradient(model: Model, x, h: float = 1e-5) -> np.ndarray:
 
     (f(x + h e_i) - f(x - h e_i)) / (2 h) per coordinate.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = _check_input(model, x)
+    h, x = _real("step h", h), _check_input(model, x)
     eye = np.eye(x.size) * h
     plus = evaluate_batch(model, x + eye)
     minus = evaluate_batch(model, x - eye)

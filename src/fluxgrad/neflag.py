@@ -35,7 +35,8 @@ import numpy as np
 from .attribution import AttributionMap
 from .errors import DimensionMismatch, NoNegativeFlux, NonFiniteInput, OffSphere, StationaryGradient
 from .geometry import _row_norms, sphere_points
-from .models import Model, _check_input, _count, _readonly, _Record, _ValueRecord, evaluate, gradient, gradient_batch
+from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate, gradient,
+                     gradient_batch)
 
 STEP_RULES = ("sign", "normalized", "none")
 
@@ -46,9 +47,7 @@ class SphereSpec(_Record):
     __slots__ = _fields = ("center", "radius")
 
     def __init__(self, center: np.ndarray, radius: float):
-        super().__init__(_readonly(center), float(radius))
-        if not 0 < self.radius < np.inf:
-            raise ValueError("sphere radius must be positive and finite")
+        super().__init__(_readonly(center), _real("sphere radius", radius))
         if not (self.center + self.radius > self.center).all():  # one vector pass finds NaN, inf and a lost radius
             if not np.isfinite(self.center).all():
                 raise NonFiniteInput("input contains non-finite components")
@@ -98,12 +97,10 @@ class NeflagConfig(_ValueRecord):
 
     def __init__(self, epsilon: float = 0.1, n_samples: int = 20, max_steps: int = 1, step_rule: str = "sign",
                  seed: int = 0):
-        if not 0 < epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
         n_samples, max_steps = _count("n_samples", n_samples), _count("max_steps", max_steps)
         if step_rule not in STEP_RULES:
             raise ValueError(f"unknown step rule {step_rule!r}")
-        super().__init__(epsilon, n_samples, max_steps, step_rule, _count("seed", seed, least=0))
+        super().__init__(_real("epsilon", epsilon), n_samples, max_steps, step_rule, _count("seed", seed, least=0))
 
     def to_params(self) -> dict:
         return {

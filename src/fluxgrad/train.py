@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .models import (Head, Layer, Model, _check_batch, _count, _init_layers, _mlp_backward, _mlp_forward, _raw_batch,
-                     _ValueRecord, expit, mlp_model, softmax)
+                     _real, _ValueRecord, expit, mlp_model, softmax)
 
 
 class FitResult(_ValueRecord):
@@ -53,8 +53,7 @@ def fit_toy_model(
     if np.any(y < 0):
         raise ValueError("class labels must be non-negative integers")
     epochs, seed = _count("epochs", epochs), _count("seed", seed, least=0)
-    if not 0 < learning_rate < np.inf:
-        raise ValueError("learning_rate must be positive and finite")
+    learning_rate = _real("learning_rate", learning_rate)
     n, dim = X.shape
     n_classes = int(y.max()) + 1 if y.size else 0
     binary = n_classes <= 2
@@ -112,7 +111,7 @@ def blob_dataset(
     """Two linearly separable Gaussian blobs, separated by 2 * margin."""
     rng = np.random.default_rng(_count("seed", seed, least=0))
     half = n // 2
-    shift = np.full(dim, margin / np.sqrt(dim))
+    shift = np.full(dim, _real("margin", margin, zero=True) / np.sqrt(dim))
     x0 = rng.standard_normal((half, dim)) * 0.4 - shift
     x1 = rng.standard_normal((n - half, dim)) * 0.4 + shift
     X = np.vstack([x0, x1])
@@ -127,9 +126,11 @@ def linear_rule_dataset(
     """Points labeled by sign(w . x), with a margin band removed.
 
     The generating weight vector doubles as the ground-truth feature
-    relevance in evaluation-harness tests.
+    relevance in evaluation-harness tests; it must be finite and nonzero.
     """
-    w = np.asarray(weights, dtype=float)
+    w, margin = np.asarray(weights, dtype=float), _real("margin", margin, zero=True)
+    if not (np.isfinite(w).all() and w.any()):
+        raise ValueError("weights must be finite and not all zero")
     rng = np.random.default_rng(_count("seed", seed, least=0))
     X = []
     while len(X) < n:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from itertools import permutations
 
@@ -482,6 +483,15 @@ def test_a_non_finite_setting_is_a_value_error(name, key, value):
         make_method(name, **{key: value})
 
 
+@pytest.mark.parametrize("value", [np.float32(0.25), 1])
+@pytest.mark.parametrize("name, key", [("neflag", "epsilon"), ("smoothgrad", "sigma")])
+def test_a_setting_is_written_as_a_python_float(name, key, value):
+    # a numpy float is not JSON, and an int epsilon would be written as 1 where the CLI writes 1.0
+    att = make_method(name, **{key: value})(fg.linear_model([1.0, 2.0]), np.array([0.5, -0.5]), 3)
+    assert type(att.params[key]) is float and att.params[key] == value
+    assert f'"{key}": {float(value)!r}' in json.dumps(att.to_json())
+
+
 class TestAttributionFiles:
     def test_json_round_trip(self):
         att = AttributionMap([1.0, -2.5, 0.0], "neflag", {"epsilon": 0.1}, 20)
@@ -509,6 +519,15 @@ class TestAttributionFiles:
         att = AttributionMap([1.0, 2.0, 3.0], "x")
         with pytest.raises(ValueError):
             att.pgm_str((2, 2))
+
+    def test_pgm_grid_is_checked_as_the_benchmark_checks_it(self):
+        att = AttributionMap([1.0, 2.0, 3.0, 4.0], "x")
+        with pytest.raises(fg.DimensionMismatch, match="grid 3x3 does not match 4 features"):
+            att.pgm_str((3, 3))
+        for grid in ((2.0, 2.0), (True, 4), (-2, -2), (0, 4)):
+            with pytest.raises(ValueError, match="grid (height|width) must be"):
+                att.pgm_str(grid)
+        assert att.pgm_str((np.int64(2), 2)) == att.pgm_str((2, 2))
 
 
 # "1" in each id: the window radius, 1, the only one the blur has

@@ -9,6 +9,7 @@ some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
 one place that makes an array read-only, ``models._Record.__init__`` the
 one that sets a record's fields, ``geometry._row_norms`` the one that takes
 row norms, ``models.softmax`` the one that max-shifts for an exponential,
+``models._real`` the one that names infinity (the bound of a real setting),
 no ``except`` clause names ``OverflowError``, no module imports another's
 private constant by name, and no module imports ``dataclasses``.
 ``__init__.py`` re-exports names it does not use, so it is only searched
@@ -212,3 +213,16 @@ def test_no_private_constant_is_imported_by_name(module):
         if re.fullmatch(r"_[A-Z][A-Z0-9_]*", alias.name)
     ]
     assert copies == []
+
+
+def test_one_check_per_real_setting():
+    # an epsilon, radius, sigma, step, rate or margin goes through models._real; a hand-written
+    # ``0 < v < np.inf`` elsewhere is a second rule, which drifts from the first
+    infinities = sorted(
+        f"{module}:{getattr(node, 'name', '<module>')}:{ref.lineno}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        for ref in ast.walk(node)
+        if isinstance(ref, ast.Attribute) and ref.attr == "inf" and ast.unparse(ref.value) in ("np", "numpy", "math")
+    )
+    assert [site for site in infinities if not site.startswith("models.py:_real:")] == []

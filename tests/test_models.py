@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxgrad as fg
-from fluxgrad import models, train
+from fluxgrad import cli, models, train
 from fluxgrad.models import _mlp_forward
 
 
@@ -692,6 +692,77 @@ def test_counts_must_be_integers(count):
         get(0)
     got, want = get(np.int64(3)), get(3)
     assert got == want and type(got) is type(want)
+
+
+_REALS = {  # every real setting, with the name its message gives and whether it may be 0; and the measures' dim
+    "NeflagConfig.epsilon": (lambda v: fg.NeflagConfig(epsilon=v), "epsilon", False),
+    "SmoothGradConfig.sigma": (lambda v: fg.SmoothGradConfig(sigma=v), "sigma", True),
+    "taylor epsilon": (lambda v: fg.make_method("taylor", epsilon=v), "epsilon", False),
+    "SphereSpec radius": (lambda v: fg.SphereSpec(np.zeros(2), v), "sphere radius", False),
+    "sphere_area radius": (lambda v: fg.sphere_area(3, v), "radius", False),
+    "ball_volume radius": (lambda v: fg.ball_volume(3, v), "radius", False),
+    "sphere_area dim": (lambda v: fg.sphere_area(v, 1.0), "dim", False),
+    "ball_volume dim": (lambda v: fg.ball_volume(v, 1.0), "dim", False),
+    "fit_toy_model learning_rate": (
+        lambda v: fg.fit_toy_model(np.eye(2), [0, 1], hidden=(2,), epochs=1, learning_rate=v), "learning_rate", False),
+    "fd_gradient h": (lambda v: fg.fd_gradient(fg.linear_model([1.0]), [0.0], h=v), "step h", False),
+    "blob_dataset margin": (lambda v: fg.blob_dataset(4, margin=v), "margin", True),
+    "linear_rule_dataset margin": (lambda v: fg.linear_rule_dataset([1.0], 4, margin=v), "margin", True),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(_REALS))
+def test_real_settings_are_checked_by_one_rule(setting):
+    # a bool, a string or None is not a number, and a NaN, an infinity or a negative value is out of range:
+    # each is a ValueError that names the setting, never a TypeError, a NaN result or an endless loop
+    get, name, zero = _REALS[setting]
+    for value in (True, "0.1", None, np.nan, np.inf, -1, *(() if zero else (0,))):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            get(value)
+    for value in (2, *((0,) if zero else ())):
+        get(value)
+
+
+SIGMA_EXTREMES = (1.221338669755462e-77, 1.1579208923731618e77)  # the least and greatest sigma with a normal sigma^4
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e200, 1.3e77, 1e-77, np.nextafter(SIGMA_EXTREMES[0], 0.0),
+                                   np.nextafter(SIGMA_EXTREMES[1], np.inf)])
+def test_a_sigma_whose_fourth_power_leaves_the_float_range_is_refused(sigma, tmp_path, capsys):
+    # sigma^2 underflows to 0 at 1e-200 (0 / 0 at the centre), and sigma^4 overflows in the Laplacian at 1.3e77;
+    # 1e-77^4 = 1e-308 is subnormal
+    message = re.escape(f"sigma {sigma} leaves the float range")
+    with pytest.raises(ValueError, match=message):
+        fg.gauss_mixture_model([1.0], [[0.0, 0.0]], [sigma])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_doc("gauss-mixture", components=[{"weight": 1.0, "center": [0.0, 0.0],
+                                                                     "sigma": sigma}])))
+    (tmp_path / "x.txt").write_text("0 0")
+    code = cli.main(["attribute", "--model", str(model), "--input", str(tmp_path / "x.txt"), "--method", "saliency",
+                     "--out", str(tmp_path / "att")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: model: ") and re.search(message, lines[0])
+
+
+@pytest.mark.parametrize("sigma", SIGMA_EXTREMES)
+def test_the_oracles_are_finite_at_the_extreme_sigmas(sigma):
+    # at the centre, one sigma out and three sigma out: f = exp(-r^2 / 2 sigma^2), with no floating-point warning
+    model = fg.gauss_mixture_model([1.0], [[0.0, 0.0]], [sigma])
+    xs = np.array([[0.0, 0.0], [sigma, 0.0], [3.0 * sigma, 0.0]])
+    with np.errstate(all="raise"):
+        got = {name: oracle(model, xs) for name, oracle in BATCH_ORACLES.items()}
+    assert all(np.isfinite(v).all() for v in got.values())
+    assert got["evaluate_batch"] == pytest.approx(np.exp([0.0, -0.5, -4.5]), rel=1e-15)
+    assert got["laplacian_batch"] * sigma**2 == pytest.approx(np.exp([0.0, -0.5, -4.5]) * [-2.0, -1.0, 7.0],
+                                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("weights, margin", [([0.0, 0.0], 0.2), ([], 0.2), ([np.nan, 1.0], 0.2), ([np.inf, 1.0], 0.2),
+                                             ([1.0, 1.0], np.nan), ([1.0, 1.0], np.inf)])
+def test_a_rule_no_point_can_clear_is_refused_at_once(weights, margin):
+    # no point clears the margin band of these, so drawing until n do would never end
+    with pytest.raises(ValueError, match="weights must be finite and not all zero|margin must be"):
+        fg.linear_rule_dataset(weights, 10, margin=margin)
 
 
 FAR_GAUSSIANS = {
