@@ -14,8 +14,6 @@ from .baselines import (
 )
 from .divergence import (
     DivergenceTheoremReport,
-    IntegralEstimate,
-    divergence_fd,
     divergence_theorem_report,
     surface_flux_integral,
     volume_divergence_integral,
@@ -42,7 +40,7 @@ from .evalkit import (
     make_method,
     two_round_difference,
 )
-from .geometry import ball_volume, sphere_area
+from .geometry import IntegralEstimate, SphereSpec, ball_volume, sphere_area
 from .models import (
     Head,
     Layer,
@@ -67,7 +65,6 @@ from .models import (
 from .neflag import (
     FluxPoint,
     NeflagConfig,
-    SphereSpec,
     find_negative_flux_point,
     flux_at,
     neflag_attribute,

@@ -17,8 +17,8 @@ from . import evalkit
 from .baselines import _completeness
 from .divergence import divergence_theorem_report
 from .errors import FluxgradError, NoNegativeFlux
+from .geometry import SphereSpec
 from .models import load_model, model_json_str
-from .neflag import SphereSpec
 from .train import fit_toy_model, load_dataset_csv
 
 EXIT_OK = 0

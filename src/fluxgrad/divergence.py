@@ -3,14 +3,12 @@
 The volume side integrates the exact Laplacian, from a forward-mode pass
 (:func:`~fluxgrad.models.laplacian_batch`), and the surface side the flux of
 the reverse-mode gradient, dot-product or element-wise, optionally over a
-flux-sign subset; so a report checks ``gradient_batch`` too.  Finite
-differences remain only in :func:`divergence_fd`, the test oracle.  Both sides
-draw antithetic pairs in one call: ceil(samples / 2) directions, each used as
-u and as exactly -u, so an odd count's last row is unpaired.  An estimate's
-units are the pair means (and that row), and its value and standard error are
-theirs.  Both sides reach the model in row blocks (``models._row_blocks``) of
-at most 128 KiB of (rows x N) gradients, or of (rows x width) at an mlp's
-widest layer: the surface side calls ``gradient_batch`` a block at a time, and
+flux-sign subset; so a report checks ``gradient_batch`` too.  Each side draws
+its ceil(samples / 2) directions in one call, and :mod:`~fluxgrad.geometry`
+lays them out in pairs u, -u and reduces the integrand to units, a mean and a
+standard error.  Both sides reach the model in row blocks of at most 128 KiB
+of (rows x N) gradients, or of (rows x width) at an mlp's widest layer: the
+surface side calls ``gradient_batch`` a block at a time, and
 ``laplacian_batch`` takes every ball point and runs the blocks itself.
 """
 
@@ -19,63 +17,11 @@ import json
 import numpy as np
 
 from .errors import MeasureOverflow
-from .geometry import ball_volume, sphere_area, sphere_directions
-from .models import (Model, _check_input, _count, _readonly, _Record, _require_smooth, _row_blocks, _ValueRecord,
-                     gradient_batch, laplacian_batch)
-from .neflag import SphereSpec
+from .geometry import IntegralEstimate, SphereSpec, _estimate, _mirrored, ball_volume, sphere_area, sphere_directions
+from .models import Model, _count, _row_blocks, _ValueRecord, gradient_batch, laplacian_batch
 
 SUBSETS = ("all", "negative", "positive")
 MODES = ("dot", "elementwise")
-
-
-class IntegralEstimate(_Record):
-    """Monte-Carlo estimate with its standard error and sample count.
-
-    ``value`` and ``standard_error`` are scalars in dot mode and length-N
-    vectors in element-wise mode.
-    """
-
-    __slots__ = _fields = ("value", "standard_error", "samples")
-
-    def __init__(self, value, standard_error, samples: int):  # a vector is held as a read-only copy
-        super().__init__(*(float(v) if np.ndim(v) == 0 else _readonly(v) for v in (value, standard_error)),
-                         _count("samples", samples))
-
-
-def _mirrored(u: np.ndarray, k: int) -> np.ndarray:
-    """k rows: each row of u, then its exact negation, in turn; an odd k's last row is u's last, unpaired."""
-    rows = np.empty((k, u.shape[1]))
-    rows[::2] = u
-    np.negative(u[:k // 2], out=rows[1::2])
-    return rows
-
-
-def _estimate(vals: np.ndarray, scale: float) -> IntegralEstimate:
-    """scale * the mean of the units of vals, rows laid out as :func:`_mirrored` lays out their points, and its
-    standard error; floats if vals is a vector.  The units are each pair's mean, then an odd count's last row.
-    Raises :class:`MeasureOverflow` when the value or the standard error is not a finite float."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a result past the float range is refused below
-        units = np.concatenate((0.5 * (vals[:-1:2] + vals[1::2]), vals[len(vals) - len(vals) % 2:]))
-        value = scale * units.mean(axis=0)
-        se = scale * units.std(axis=0, ddof=1) / np.sqrt(len(units)) if len(units) > 1 else np.zeros_like(value)
-    if not np.isfinite((value, se)).all():
-        raise MeasureOverflow(f"a Monte Carlo estimate over a measure of {scale:g} overflows a float")
-    return IntegralEstimate(value, se, len(vals))
-
-
-def divergence_fd(model: Model, x) -> float:
-    """div F at x: central differences of the exact gradient field.
-
-    Only the second derivative is finite-differenced, with step 1e-4; the
-    field values themselves use analytic gradients, so a single FD level
-    controls the error.
-    """
-    _require_smooth(model)
-    h = 1e-4
-    x = _check_input(model, x)
-    steps = h * np.eye(x.size)
-    plus, minus = gradient_batch(model, x + steps), gradient_batch(model, x - steps)
-    return float(np.sum(np.diag(plus) - np.diag(minus)) / (2.0 * h))
 
 
 def volume_divergence_integral(

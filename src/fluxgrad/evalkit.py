@@ -25,7 +25,8 @@ from .baselines import (
 from .errors import DimensionMismatch, FluxgradError
 from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate_batch,
                      path_change, path_scores)
-from .neflag import NeflagConfig, SphereSpec, neflag_attribute, sample_sphere, taylor_heatmap
+from .geometry import SphereSpec
+from .neflag import NeflagConfig, neflag_attribute, sample_sphere, taylor_heatmap
 
 REPLACEMENTS = ("black", "mean", "blur")
 

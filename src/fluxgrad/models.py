@@ -105,9 +105,11 @@ def _real(name: str, value, zero: bool = False) -> float:
     positive, or with ``zero`` finite and >= 0."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (0 < value < np.inf or zero and value == 0):
+    # an int past the float range stays an int, whose float() would raise OverflowError, and is refused below
+    number = value if isinstance(value, int) and abs(value) > sys.float_info.max else float(value)
+    if not (0 < number <= sys.float_info.max or zero and number == 0):
         raise ValueError(f"{name} must be {'>= 0' if zero else 'positive'} and finite")
-    return float(value)
+    return number
 
 
 class _Record:
@@ -383,7 +385,8 @@ def _rest(model: Model, s):
         post, pre = _mlp_from_first(p, s)
         return post[-1], (post, pre)
     if model.kind == "gauss-mixture":
-        e = p[0] * np.exp(-s / (2.0 * p[2] ** 2))
+        with np.errstate(over="ignore"):  # an exponent past the float range is -inf, whose exponential is exactly 0
+            e = p[0] * np.exp(-s / (2.0 * p[2] ** 2))
         return np.sum(e, axis=1)[:, None], (s, e)
     return s + p[1] if model.kind == "linear" else 0.5 * s, None
 
@@ -428,7 +431,7 @@ def path_change(model: Model, start, target):
 
 def _row_blocks(model: Model, n: int, width: int) -> list:
     """Slices of n rows, each block's (rows x width) floats within _BLOCK_BYTES (at least one row); an mlp's
-    width is its widest layer.  Rows drawn in units, as divergence's pairs are, are drawn whole beforehand."""
+    width is its widest layer.  Rows drawn in units, as geometry lays out its pairs, are drawn whole beforehand."""
     if model.kind == "mlp":
         width = max(layer.weight.shape[0] for layer in model.params)
     rows = max(1, _BLOCK_BYTES // (8 * width))

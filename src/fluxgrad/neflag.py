@@ -1,4 +1,4 @@
-"""Negative-flux aggregation on an epsilon-sphere.
+"""Negative-flux aggregation on an epsilon-sphere, a :class:`~fluxgrad.geometry.SphereSpec`.
 
 The attribution for input x is built by locating points x~ on the sphere of
 radius epsilon around x where the gradient field flows inward (negative
@@ -33,33 +33,12 @@ and the rounds drawn past that only advance the private generator.
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import DimensionMismatch, NoNegativeFlux, NonFiniteInput, OffSphere, StationaryGradient
-from .geometry import _row_norms, sphere_points
+from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
+from .geometry import SphereSpec, _row_norms, sphere_points
 from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate, gradient,
                      gradient_batch)
 
 STEP_RULES = ("sign", "normalized", "none")
-
-
-class SphereSpec(_Record):
-    """The epsilon-sphere S_x: a finite center x and a radius epsilon with x + epsilon > x in every entry."""
-
-    __slots__ = _fields = ("center", "radius")
-
-    def __init__(self, center: np.ndarray, radius: float):
-        super().__init__(_readonly(center), _real("sphere radius", radius))
-        if not (self.center + self.radius > self.center).all():  # one vector pass finds NaN, inf and a lost radius
-            if not np.isfinite(self.center).all():
-                raise NonFiniteInput("input contains non-finite components")
-            raise OffSphere(f"sphere radius {self.radius:g} is lost in rounding at a center of magnitude "
-                            f"{abs(self.center).max():.3g}")
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    def offset(self, point) -> np.ndarray:
-        return np.asarray(point, dtype=float) - self.center
 
 
 class FluxPoint(_Record):

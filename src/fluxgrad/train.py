@@ -127,17 +127,21 @@ def linear_rule_dataset(
 
     The generating weight vector doubles as the ground-truth feature
     relevance in evaluation-harness tests; it must be finite and nonzero.
+    Points are drawn 2n at a time, for at most 10,000 rounds; a margin that
+    leaves fewer than n of them is refused with a ValueError.
     """
     w, margin = np.asarray(weights, dtype=float), _real("margin", margin, zero=True)
     if not (np.isfinite(w).all() and w.any()):
         raise ValueError("weights must be finite and not all zero")
     rng = np.random.default_rng(_count("seed", seed, least=0))
     X = []
-    while len(X) < n:
+    for _ in range(10_000):  # a draw clears the margin with P = erfc(margin / sqrt 2), score / |w| being N(0, 1)
         batch = rng.standard_normal((2 * n, w.size))
-        score = batch @ w
-        keep = np.abs(score) > margin * np.linalg.norm(w)
-        X.extend(batch[keep])
+        X.extend(batch[np.abs(batch @ w) > margin * np.linalg.norm(w)])
+        if len(X) >= n:
+            break
+    else:
+        raise ValueError(f"margin {margin:g} is cleared by fewer than {n} of {20_000 * n} standard-normal draws")
     X = np.asarray(X[:n])
     y = (X @ w > 0).astype(int)
     return X, y

@@ -9,9 +9,14 @@ some call in ``cli.py`` or ``evalkit.py``, ``models._readonly`` is the
 one place that makes an array read-only, ``models._Record.__init__`` the
 one that sets a record's fields, ``geometry._row_norms`` the one that takes
 row norms, ``models.softmax`` the one that max-shifts for an exponential,
-``models._real`` the one that names infinity (the bound of a real setting),
+``models._real`` the one check of a real setting's range (no other code
+names infinity),
 no ``except`` clause names ``OverflowError``, no module imports another's
-private constant by name, and no module imports ``dataclasses``.
+private constant by name, no module imports ``dataclasses``, and
+``geometry`` is the one Monte Carlo layer: it defines the sphere, the
+antithetic pairs and their estimate, imports only ``models`` and ``errors``
+from the package, and is where every import of ``SphereSpec`` comes from,
+while ``divergence`` imports nothing from ``neflag``.
 ``__init__.py`` re-exports names it does not use, so it is only searched
 for references.
 """
@@ -226,3 +231,34 @@ def test_one_check_per_real_setting():
         if isinstance(ref, ast.Attribute) and ref.attr == "inf" and ast.unparse(ref.value) in ("np", "numpy", "math")
     )
     assert [site for site in infinities if not site.startswith("models.py:_real:")] == []
+
+
+def package_imports(tree):
+    """The package modules a module imports from: ``x`` of ``from . import x`` and of ``from .x import ...``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield from (a.name for a in node.names) if node.module is None else (node.module,)
+
+
+def test_geometry_is_the_one_monte_carlo_layer():
+    # neflag and divergence both draw on the sphere, its pairs and their estimate; a second definition, an import
+    # of them from above geometry or a divergence that reaches into neflag splits the layer again
+    owners = sorted(
+        f"{module}:{node.name}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("SphereSpec", "IntegralEstimate", "_mirrored", "_estimate")
+    )
+    assert owners == ["geometry.py:IntegralEstimate", "geometry.py:SphereSpec", "geometry.py:_estimate",
+                      "geometry.py:_mirrored"]
+    assert sorted(set(package_imports(TREES["geometry.py"]))) == ["errors", "models"]
+    assert "neflag" not in set(package_imports(TREES["divergence.py"]))
+    sources = sorted({
+        f"{module}:{node.module}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "SphereSpec" for a in node.names)
+    })
+    assert {"divergence.py:geometry", "neflag.py:geometry"} <= set(sources)
+    assert [source for source in sources if not source.endswith(":geometry")] == []

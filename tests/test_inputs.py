@@ -13,7 +13,7 @@ import pytest
 import fluxgrad as fg
 from fluxgrad.evalkit import METHODS, EvalConfig, make_method
 
-MODEL = fg.random_mlp(8, seed=1)  # softplus, so divergence_fd takes it
+MODEL = fg.random_mlp(8, seed=1)
 GOOD = np.linspace(-0.4, 0.3, 8)
 BAD = {
     "two-rows": (GOOD.reshape(2, 4), fg.DimensionMismatch),
@@ -37,7 +37,6 @@ ENTRY_POINTS = {
     "evaluate": lambda x: fg.evaluate(MODEL, x),
     "gradient": lambda x: fg.gradient(MODEL, x),
     "fd_gradient": lambda x: fg.fd_gradient(MODEL, x),
-    "divergence_fd": lambda x: fg.divergence_fd(MODEL, x),
     "training_accuracy": lambda x: fg.training_accuracy(MODEL, np.asarray(x)[None], [0]),  # x as a batch's row
     "deletion_curve": lambda x: fg.deletion_curve(MODEL, x, fg.saliency(MODEL, GOOD)),
 }

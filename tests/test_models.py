@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxgrad as fg
+from conftest import subprocess_env
 from fluxgrad import cli, models, train
 from fluxgrad.models import _mlp_forward
 
@@ -713,14 +716,29 @@ _REALS = {  # every real setting, with the name its message gives and whether it
 
 @pytest.mark.parametrize("setting", sorted(_REALS))
 def test_real_settings_are_checked_by_one_rule(setting):
-    # a bool, a string or None is not a number, and a NaN, an infinity or a negative value is out of range:
-    # each is a ValueError that names the setting, never a TypeError, a NaN result or an endless loop
+    # a bool, a string or None is not a number, and a NaN, an infinity, an int past the float range or a negative
+    # value is out of range: each is a ValueError that names the setting, never a TypeError, an OverflowError,
+    # a NaN result or an endless loop
     get, name, zero = _REALS[setting]
-    for value in (True, "0.1", None, np.nan, np.inf, -1, *(() if zero else (0,))):
+    for value in (True, "0.1", None, np.nan, np.inf, -1, 10**400, -10**400, *(() if zero else (0,))):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             get(value)
     for value in (2, *((0,) if zero else ())):
         get(value)
+
+
+def test_a_setting_past_the_float_range_is_out_of_range():
+    # Python compares an int with a float exactly, so the largest float is the bound; a float32 is a float
+    # before it is compared, which warns of no overflow in a cast, and a long double past the range is inf
+    biggest = int(sys.float_info.max)
+    assert models._real("epsilon", biggest) == sys.float_info.max
+    assert models._real("epsilon", np.float32(3e38)) == float(np.float32(3e38))
+    beyond = [biggest + 1, 2**1024]
+    if np.finfo(np.longdouble).max > sys.float_info.max:  # an 80-bit or a quad long double
+        beyond.append(np.longdouble(sys.float_info.max) * 2)
+    for value in beyond:
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+            models._real("epsilon", value)
 
 
 SIGMA_EXTREMES = (1.221338669755462e-77, 1.1579208923731618e77)  # the least and greatest sigma with a normal sigma^4
@@ -755,6 +773,13 @@ def test_the_oracles_are_finite_at_the_extreme_sigmas(sigma):
     assert got["evaluate_batch"] == pytest.approx(np.exp([0.0, -0.5, -4.5]), rel=1e-15)
     assert got["laplacian_batch"] * sigma**2 == pytest.approx(np.exp([0.0, -0.5, -4.5]) * [-2.0, -1.0, 7.0],
                                                                rel=1e-14)
+    # far out the exponent -|x|^2 / 2 sigma^2 passes the float range below sigma = 1 / sqrt 2 and is -inf, whose
+    # exponential is exactly 0; at the greatest sigma it stays finite, and only its exponential's underflow to 0
+    # is flagged, which numpy ignores by default
+    far = np.array([[1e154, 0.0]])
+    with np.errstate(all="raise", under="ignore" if sigma > 1.0 else "raise"):
+        got = {name: oracle(model, far) for name, oracle in BATCH_ORACLES.items()}
+    assert all(np.array_equal(v, np.zeros_like(v)) for v in got.values())
 
 
 @pytest.mark.parametrize("weights, margin", [([0.0, 0.0], 0.2), ([], 0.2), ([np.nan, 1.0], 0.2), ([np.inf, 1.0], 0.2),
@@ -763,6 +788,18 @@ def test_a_rule_no_point_can_clear_is_refused_at_once(weights, margin):
     # no point clears the margin band of these, so drawing until n do would never end
     with pytest.raises(ValueError, match="weights must be finite and not all zero|margin must be"):
         fg.linear_rule_dataset(weights, 10, margin=margin)
+
+
+def test_a_margin_no_draw_clears_is_refused_after_a_bounded_draw():
+    # P(|score| > 50 |w|) = erfc(50 / sqrt 2), about 1e-545, so no draw keeps a point; in a child process, so
+    # a draw without a bound fails the test at its timeout instead of running forever
+    code = ("import fluxgrad as fg\n"
+            "try:\n    fg.linear_rule_dataset([1.0, 1.0], 10, margin=50.0)\n"
+            "except ValueError as e:\n    print(e)\n")
+    res = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+                         env=subprocess_env(), timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "margin 50 is cleared by fewer than 10 of 200000 standard-normal draws\n"
 
 
 FAR_GAUSSIANS = {
