@@ -6,7 +6,6 @@ from .attribution import AttributionMap
 from .baselines import (
     IgConfig,
     SmoothGradConfig,
-    ig_completeness_gap,
     integrated_gradients,
     random_attribution,
     saliency,
@@ -35,7 +34,6 @@ from .evalkit import (
     EvalCurve,
     benchmark,
     deletion_curve,
-    difference_score,
     insertion_curve,
     make_method,
     two_round_difference,
@@ -66,7 +64,6 @@ from .neflag import (
     FluxPoint,
     NeflagConfig,
     find_negative_flux_point,
-    flux_at,
     neflag_attribute,
     recurrence_step,
     sample_sphere,

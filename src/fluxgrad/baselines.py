@@ -75,11 +75,6 @@ def _completeness(model: Model, x, attribution: AttributionMap) -> dict:
     return {"attribution_sum": total, "delta_f": delta_f, "gap": total - delta_f}
 
 
-def ig_completeness_gap(model: Model, x, attribution: AttributionMap) -> float:
-    """Attribution sum minus (f(x) - f(baseline)) for the map's own baseline; near zero for good paths."""
-    return _completeness(model, x, attribution)["gap"]
-
-
 def random_attribution(model: Model, x, seed: int = 0) -> AttributionMap:
     """Standard-normal scores, the null reference for evaluation harnesses."""
     x, seed = _check_input(model, x), _count("seed", seed, least=0)

@@ -22,7 +22,7 @@ class MeasureOverflow(FluxgradError, ValueError):
 
 
 class OffSphere(FluxgradError, ValueError):
-    """A point claimed to lie on a sphere is too far from its surface."""
+    """A sphere's radius is lost in rounding at its center, so a point on it can fall on the center."""
 
 
 class StationaryGradient(FluxgradError, RuntimeError):

@@ -142,12 +142,6 @@ def insertion_curve(model: Model, x, attribution: AttributionMap, cfg: EvalConfi
     return EvalCurve(_round(model, x, cfg)(_ranking(model, attribution))[1])
 
 
-def difference_score(model: Model, x, attribution: AttributionMap, cfg: EvalConfig = EvalConfig()) -> float:
-    """Insertion AUC minus deletion AUC under the same replacement mode."""
-    dele, ins = map(EvalCurve, _round(model, x, cfg)(_ranking(model, attribution)))
-    return ins.auc - dele.auc
-
-
 def _two_rounds(cfg: EvalConfig) -> tuple:
     """The replacement modes of the two-round difference: black, then blur or mean."""
     return ("black", "blur" if cfg.grid is not None else "mean")

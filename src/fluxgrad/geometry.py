@@ -50,21 +50,27 @@ def _measure(what: str, dim: int, log_c: float, power: int, radius: float) -> fl
     return math.exp(log_c) * radius**power if abs(log_c) < 700.0 and abs(log_r) < 700.0 else math.exp(log_c + log_r)
 
 
+def _half(dim) -> tuple[int, float]:
+    """dim as a count, and dim / 2, refused as past the float range where a log-Gamma term would pass it."""
+    dim = models._count("dim", dim)
+    half = 0.5 * models._real("dim", dim)  # a count past the float range is refused as a real setting is
+    models._real("dim", (half + 1.0) * math.log(half + 1.0))  # a bound on log Gamma, inf from dim about 5.1e305
+    return dim, half
+
+
 def sphere_area(dim: int, radius: float) -> float:
     """Surface area of the (dim-1)-sphere of the given radius in R^dim.
 
     Uses the Gamma-function closed form 2 pi^(d/2) r^(d-1) / Gamma(d/2).
     """
-    dim = models._count("dim", dim)
-    half = 0.5 * models._real("dim", dim)  # a count past the float range is refused as a real setting is
+    dim, half = _half(dim)
     log_a = math.log(2.0) + half * math.log(math.pi) - math.lgamma(half)
     return _measure("sphere area", dim, log_a, dim - 1, radius)
 
 
 def ball_volume(dim: int, radius: float) -> float:
     """Volume of the solid ball of the given radius in R^dim."""
-    dim = models._count("dim", dim)
-    half = 0.5 * models._real("dim", dim)
+    dim, half = _half(dim)
     log_v = half * math.log(math.pi) - math.lgamma(half + 1.0)
     return _measure("ball volume", dim, log_v, dim, radius)
 

@@ -16,7 +16,8 @@ direction, or kept as drawn, by one of three step rules:
   as-is (useful as an unbiased reference for the surface integral).
 
 Each candidate is one uniform start refined by ``max_steps`` recurrence
-steps; a candidate without negative flux is dropped for a fresh start.
+steps; a candidate whose exact flux is not negative is dropped for a
+fresh start.  No f value is read: the flux and the map use only gradients.
 
 The samples of one attribution are searched in lockstep, in chunks of
 rounds: each recurrence step is one ``gradient_batch`` call over every
@@ -33,34 +34,25 @@ and the rounds drawn past that only advance the private generator.
 import numpy as np
 
 from .attribution import AttributionMap
-from .errors import DimensionMismatch, NoNegativeFlux, OffSphere, StationaryGradient
+from .errors import NoNegativeFlux, OffSphere, StationaryGradient
 from .geometry import SphereSpec, _row_norms, sphere_points
-from .models import (Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, evaluate, gradient,
-                     gradient_batch)
+from .models import Model, _check_input, _count, _readonly, _real, _Record, _ValueRecord, gradient, gradient_batch
 
 STEP_RULES = ("sign", "normalized", "none")
 
 
 class FluxPoint(_Record):
-    """A surface point with its gradient, unit normal, and signed flux.
+    """An accepted point x~, the gradient F(x~) there, and the unit normal n along x~ - x, which holds off the
+    sphere too, where a sign-rule point lies.  ``flux`` is the exact F(x~) . n."""
 
-    ``flux`` is the exact dot product F(x~) . n; ``approx_flux`` is the
-    first-order surrogate (f(x~) - f(x)) / dist that avoids a gradient
-    evaluation.
-    """
+    __slots__ = _fields = ("location", "gradient", "normal")
 
-    __slots__ = _fields = ("location", "gradient", "normal", "approx_flux")
-
-    def __init__(self, location, gradient, normal, approx_flux: float):  # the arrays as read-only copies
-        super().__init__(_readonly(location), _readonly(gradient), _readonly(normal), approx_flux)
+    def __init__(self, location, gradient, normal):  # the arrays as read-only copies
+        super().__init__(_readonly(location), _readonly(gradient), _readonly(normal))
 
     @property
     def flux(self) -> float:
         return float(self.gradient @ self.normal)
-
-    @property
-    def is_negative(self) -> bool:
-        return self.flux < 0.0
 
 
 class NeflagConfig(_ValueRecord):
@@ -99,36 +91,6 @@ def _generator(seed) -> np.random.Generator:
 def sample_sphere(sphere: SphereSpec, seed) -> np.ndarray:
     """One point drawn uniformly on the sphere surface, from a seed or a Generator."""
     return sphere_points(_generator(seed), 1, sphere.center, sphere.radius)[0]
-
-
-def _flux_point(model: Model, sphere: SphereSpec, x_t, grad) -> FluxPoint:
-    """Flux bookkeeping at x_t, given the gradient there.
-
-    The normal is taken along the actual offset from the center, so it also
-    serves sign-rule points, which live off the sphere.
-    """
-    off = sphere.offset(x_t)
-    dist = float(np.linalg.norm(off))
-    normal = off / dist
-    approx = (evaluate(model, x_t) - evaluate(model, sphere.center)) / dist
-    return FluxPoint(x_t, grad, normal, float(approx))
-
-
-def flux_at(model: Model, sphere: SphereSpec, x_t) -> FluxPoint:
-    """Exact and approximate flux at a point on the sphere surface.
-
-    Rejects points farther than 1e-6 relative from the surface, which
-    would silently corrupt the unit normal.
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != sphere.center.shape:
-        raise DimensionMismatch("point and sphere dimensions differ")
-    dist = float(np.linalg.norm(sphere.offset(x_t)))
-    if abs(dist - sphere.radius) > 1e-6 * sphere.radius:
-        raise OffSphere(
-            f"point at distance {dist:.3e} from center, sphere radius {sphere.radius:.3e}"
-        )
-    return _flux_point(model, sphere, x_t, gradient(model, x_t))
 
 
 def _steps(sphere: SphereSpec, grads: np.ndarray, rule: str):
@@ -251,7 +213,8 @@ def find_negative_flux_point(
     """
     rng = _generator(config.seed if seed is None else seed)
     points, grads = _search(model, sphere, config, rng, 1)
-    return _flux_point(model, sphere, points[0], grads[0])
+    off = sphere.offset(points[0])  # the search refuses a point on the center
+    return FluxPoint(points[0], grads[0], off / np.linalg.norm(off))
 
 
 def neflag_attribute(model: Model, x, config: NeflagConfig = NeflagConfig()) -> AttributionMap:

@@ -109,7 +109,7 @@ def blob_dataset(
     n: int = 200, margin: float = 1.0, dim: int = 2, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two linearly separable Gaussian blobs, separated by 2 * margin."""
-    rng = np.random.default_rng(_count("seed", seed, least=0))
+    n, dim, rng = _count("n", n), _count("dim", dim), np.random.default_rng(_count("seed", seed, least=0))
     half = n // 2
     shift = np.full(dim, _real("margin", margin, zero=True) / np.sqrt(dim))
     x0 = rng.standard_normal((half, dim)) * 0.4 - shift
@@ -130,7 +130,7 @@ def linear_rule_dataset(
     Points are drawn 2n at a time, for at most 10,000 rounds; a margin that
     leaves fewer than n of them is refused with a ValueError.
     """
-    w, margin = np.asarray(weights, dtype=float), _real("margin", margin, zero=True)
+    w, n, margin = np.asarray(weights, dtype=float), _count("n", n), _real("margin", margin, zero=True)
     if not (np.isfinite(w).all() and w.any()):
         raise ValueError("weights must be finite and not all zero")
     rng = np.random.default_rng(_count("seed", seed, least=0))

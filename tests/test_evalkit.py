@@ -358,25 +358,30 @@ class TestReplacement:
             replacement_input(np.ones(5), EvalConfig("blur", grid=(2, 2)))
 
 
+def _difference(m, x, att, cfg=EvalConfig()):
+    """Insertion AUC minus deletion AUC under one replacement mode."""
+    return fg.insertion_curve(m, x, att, cfg).auc - fg.deletion_curve(m, x, att, cfg).auc
+
+
 class TestDifferenceScore:
     def test_constant_model_zero(self):
         m = constant_model(0.4)
         att = AttributionMap([1.0, 2.0], "x")
-        assert fg.difference_score(m, [1.0, 1.0], att) == pytest.approx(0.0)
+        assert _difference(m, [1.0, 1.0], att) == pytest.approx(0.0)
 
     def test_ground_truth_on_monotone_linear_model_positive(self):
         a = np.array([3.0, 2.0, 1.0])
         x = np.array([1.0, 1.0, 1.0])
         m = fg.linear_model(a)
         att = AttributionMap(a * x, "gt")
-        assert fg.difference_score(m, x, att, EvalConfig("black")) > 0
+        assert _difference(m, x, att, EvalConfig("black")) > 0
 
     def test_two_round_average(self):
         m = fg.linear_model([1.0, 2.0])
         x = np.array([0.5, 1.5])
         att = AttributionMap([0.5, 3.0], "gt")
-        black = fg.difference_score(m, x, att, EvalConfig("black"))
-        mean = fg.difference_score(m, x, att, EvalConfig("mean"))
+        black = _difference(m, x, att, EvalConfig("black"))
+        mean = _difference(m, x, att, EvalConfig("mean"))
         assert fg.two_round_difference(m, x, att) == pytest.approx((black + mean) / 2)
 
 

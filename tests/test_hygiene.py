@@ -16,7 +16,8 @@ private constant by name, no module imports ``dataclasses``, and
 ``geometry`` is the one Monte Carlo layer: it defines the sphere, the
 antithetic pairs and their estimate, imports only ``models`` and ``errors``
 from the package, and is where every import of ``SphereSpec`` comes from,
-while ``divergence`` imports nothing from ``neflag``.
+while ``divergence`` imports nothing from ``neflag``.  ``neflag`` reads no
+f value: it neither imports nor calls ``evaluate`` or ``evaluate_batch``.
 ``__init__.py`` re-exports names it does not use, so it is only searched
 for references.
 """
@@ -262,3 +263,9 @@ def test_geometry_is_the_one_monte_carlo_layer():
     })
     assert {"divergence.py:geometry", "neflag.py:geometry"} <= set(sources)
     assert [source for source in sources if not source.endswith(":geometry")] == []
+
+
+def test_neflag_reads_no_f_value():
+    # the search accepts a point on its exact flux and the map sums gradients, so an f value read there is unused
+    tree = TREES["neflag.py"]
+    assert {"evaluate", "evaluate_batch"} & (set(imported_names(tree)) | set(referenced_names(tree))) == set()

@@ -27,7 +27,6 @@ ENTRY_POINTS = {
     "neflag_attribute": lambda x: fg.neflag_attribute(MODEL, x),
     "taylor_heatmap-x": lambda x: fg.taylor_heatmap(MODEL, x, GOOD + 0.1),
     "taylor_heatmap-point": lambda x: fg.taylor_heatmap(MODEL, GOOD, x),
-    "flux_at": lambda x: fg.flux_at(MODEL, SPHERE, x),
     "recurrence_step": lambda x: fg.recurrence_step(MODEL, SPHERE, x),
     "saliency": lambda x: fg.saliency(MODEL, x),
     "smoothgrad": lambda x: fg.smoothgrad(MODEL, x),

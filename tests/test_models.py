@@ -680,6 +680,9 @@ _COUNTS = {  # every count parameter, and what it gives for a count n
     "surface samples": lambda n: fg.surface_flux_integral(_FIELD, _BALL, n).samples,
     "report samples": lambda n: fg.divergence_theorem_report(_FIELD, _BALL, n).samples,
     "fit_toy_model epochs": lambda n: fg.fit_toy_model(np.eye(2), [0, 1], hidden=(2,), epochs=n).loss,
+    "blob_dataset n": lambda n: len(fg.blob_dataset(n)[1]),
+    "blob_dataset dim": lambda n: fg.blob_dataset(4, dim=n)[0].shape[1],
+    "linear_rule_dataset n": lambda n: len(fg.linear_rule_dataset([1.0], n)[1]),
 }
 
 
@@ -739,6 +742,12 @@ def test_a_setting_past_the_float_range_is_out_of_range():
     for value in beyond:
         with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
             models._real("epsilon", value)
+    # a measure's dim from about 5e305 would take log Gamma(dim / 2) past the float range, and is refused as one past it
+    for measure in (fg.sphere_area, fg.ball_volume):
+        assert measure(10**305, 1.0) == 0.0
+        for dim in (10**306, 10**308, biggest):
+            with pytest.raises(ValueError, match="^dim must be positive and finite$"):
+                measure(dim, 1.0)
 
 
 SIGMA_EXTREMES = (1.221338669755462e-77, 1.1579208923731618e77)  # the least and greatest sigma with a normal sigma^4

@@ -38,36 +38,42 @@ class TestSampleSphere:
             SphereSpec(np.zeros(2), radius)
 
 
-class TestFluxAt:
+class TestFluxPoint:
     def test_linear_outward_flux(self):
         m = fg.linear_model([1.0, 0.0])
-        sphere = SphereSpec(np.zeros(2), 0.1)
-        p = fg.flux_at(m, sphere, [0.1, 0.0])
+        x_t = np.array([0.1, 0.0])
+        p = fg.FluxPoint(x_t, fg.gradient(m, x_t), x_t / 0.1)
         assert p.flux == pytest.approx(1.0)
-        assert p.approx_flux == pytest.approx(1.0)
         assert abs(np.linalg.norm(p.normal) - 1.0) <= 1e-9
 
     def test_linear_inward_flux(self):
         m = fg.linear_model([1.0, 0.0])
-        p = fg.flux_at(m, SphereSpec(np.zeros(2), 0.1), [-0.1, 0.0])
+        cfg = NeflagConfig(epsilon=0.1, n_samples=1, step_rule="normalized")
+        p = fg.find_negative_flux_point(m, SphereSpec(np.zeros(2), 0.1), cfg, seed=0)
         assert p.flux == pytest.approx(-1.0)
-        assert p.is_negative
+        assert np.allclose(p.normal, [-1.0, 0.0]) and abs(np.linalg.norm(p.normal) - 1.0) <= 1e-9
 
     def test_quadratic_exposes_first_order_error(self):
-        # exact flux 0.1; the secant surrogate sees only half of it.
+        # exact flux 0.1; the secant (f(x~) - f(x)) / r sees only half of it, and the flux is not the secant.
         m = fg.quadratic_model([1.0, 1.0])
-        p = fg.flux_at(m, SphereSpec(np.zeros(2), 0.1), [0.1, 0.0])
+        x_t = np.array([0.1, 0.0])
+        p = fg.FluxPoint(x_t, fg.gradient(m, x_t), x_t / 0.1)
+        secant = (fg.evaluate(m, x_t) - fg.evaluate(m, np.zeros(2))) / 0.1
         assert p.flux == pytest.approx(0.1)
-        assert p.approx_flux == pytest.approx(0.05)
+        assert secant == pytest.approx(0.05)
 
     def test_flux_is_the_gradient_along_the_normal(self):
-        p = fg.FluxPoint(np.array([0.6, 0.8]), np.array([2.0, -1.0]), np.array([0.6, 0.8]), 0.0)
-        assert p.flux == pytest.approx(0.4) and not p.is_negative
+        p = fg.FluxPoint(np.array([0.6, 0.8]), np.array([2.0, -1.0]), np.array([0.6, 0.8]))
+        assert p.flux == pytest.approx(0.4)
 
-    def test_off_sphere_point_rejected(self):
-        m = fg.linear_model([1.0, 0.0])
-        with pytest.raises(fg.OffSphere):
-            fg.flux_at(m, SphereSpec(np.zeros(2), 0.1), [0.11, 0.0])
+    def test_sign_rule_point_off_the_sphere_has_a_unit_normal_along_its_offset(self):
+        # the sign step lands on the corner -0.1 (1, 1), at 0.1 sqrt 2 from the center
+        m = fg.linear_model([3.0, 4.0])
+        cfg = NeflagConfig(epsilon=0.1, n_samples=1, step_rule="sign")
+        p = fg.find_negative_flux_point(m, SphereSpec(np.zeros(2), 0.1), cfg, seed=0)
+        assert np.array_equal(p.location, [-0.1, -0.1])
+        assert np.allclose(p.normal, -np.sqrt(0.5), rtol=1e-15)
+        assert p.flux == pytest.approx(-7.0 * np.sqrt(0.5))
 
 
 class TestRecurrenceStep:
@@ -169,7 +175,8 @@ class TestFindNegativeFluxPoint:
             x_t = fg.sample_sphere(sphere, s)
             for _ in range(20):
                 x_t = fg.recurrence_step(fit.model, sphere, x_t, "normalized")
-            negative += fg.flux_at(fit.model, sphere, x_t).flux < 0
+            normal = (x_t - x0) / np.linalg.norm(x_t - x0)
+            negative += fg.gradient(fit.model, x_t) @ normal < 0
         assert negative >= 95
 
 
@@ -366,7 +373,7 @@ class TestLockstepSearch:
 
     def test_one_gradient_batch_call_per_step(self, monkeypatch):
         calls = []
-        for name in ("gradient_batch", "gradient", "evaluate"):
+        for name in ("gradient_batch", "gradient"):  # neflag reads no f value: test_hygiene finds no evaluate
             fn = getattr(neflag, name)
             monkeypatch.setattr(neflag, name,
                                 lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
@@ -377,6 +384,9 @@ class TestLockstepSearch:
         calls.clear()
         fg.neflag_attribute(model, np.zeros(3), NeflagConfig(step_rule="normalized", max_steps=5))
         assert calls == ["gradient_batch"] * 6
+        calls.clear()
+        fg.find_negative_flux_point(model, SphereSpec(np.zeros(3), 0.1), NeflagConfig())
+        assert calls == ["gradient_batch"] * 2
 
     def test_one_generator_and_full_blocks_per_attribution(self, monkeypatch):
         generators, rows = [], []
@@ -482,7 +492,7 @@ class TestLockstepSearch:
             fg.Layer(np.array([[1.0, -10.0]]), np.array([-0.8]), "relu"),
             fg.Layer(np.array([[1.0]]), np.zeros(1), "identity"),
         ])
-        assert neflag.flux_at(model, SphereSpec(np.zeros(2), 0.1), [-0.1, 0.0]).is_negative
+        assert fg.gradient(model, [-0.1, 0.0]) @ [-1.0, 0.0] < 0  # the flux at (-0.1, 0), whose normal is -e1
         monkeypatch.setattr(neflag, "sphere_points", lambda rng, n, center, radius: np.tile([0.0, -0.1], (n, 1)))
         for n in (1, 3):
             with pytest.raises(fg.StationaryGradient):

@@ -38,7 +38,7 @@ RECORDS = {
     "MethodResult": _report().results[0],
     "BenchmarkReport": _report(),
     "SphereSpec": fg.SphereSpec(X, 0.25),
-    "FluxPoint": fg.flux_at(MODEL, fg.SphereSpec(X, 0.25), X + np.array([0.0, 0.25, 0.0])),
+    "FluxPoint": fg.find_negative_flux_point(MODEL, fg.SphereSpec(X, 0.25), fg.NeflagConfig(0.25, 1)),
     "NeflagConfig": fg.NeflagConfig(0.2, 3, 2, "normalized", 9),
     "FitResult": fg.FitResult(MODEL, 0.25, 0.75),
 }
@@ -59,7 +59,7 @@ FIELDS = {
                      "difference_mean", "difference_se", "samples_ok", "samples_failed"),
     "BenchmarkReport": ("results", "replacement", "seed"),
     "SphereSpec": ("center", "radius"),
-    "FluxPoint": ("location", "gradient", "normal", "approx_flux"),
+    "FluxPoint": ("location", "gradient", "normal"),
     "NeflagConfig": ("epsilon", "n_samples", "max_steps", "step_rule", "seed"),
     "FitResult": ("model", "loss", "accuracy"),
 }
@@ -96,7 +96,7 @@ OUTPUTS = {
     "BenchmarkReport": lambda r: (r.json_str() + r.csv_str()).encode(),
     "SphereSpec": lambda s: (fg.sample_sphere(s, 5).tobytes() + s.offset(X).tobytes()
                              + fg.neflag_attribute(MODEL, s.center, fg.NeflagConfig(s.radius, 4)).values.tobytes()),
-    "FluxPoint": lambda p: _array_bytes(p.location, p.gradient, p.normal, p.approx_flux, p.flux, p.is_negative),
+    "FluxPoint": lambda p: _array_bytes(p.location, p.gradient, p.normal, p.flux),
     "NeflagConfig": lambda c: fg.neflag_attribute(MODEL, X, c).values.tobytes() + repr(c.to_params()).encode(),
     "FitResult": lambda r: _model_bytes(r.model) + _array_bytes(r.loss, r.accuracy),
 }
@@ -189,7 +189,7 @@ def test_copies_are_checked_frozen_and_give_the_same_outputs(name, how):
 def test_records_keep_their_values_when_the_caller_changes_what_it_passed():
     x_t, value, se = X + np.array([0.0, 0.25, 0.0]), np.array([1.0, -2.0]), np.array([0.1, 0.2])
     params = {"epsilon": 0.1, "baseline": [0.0, 1.0]}
-    point = fg.flux_at(MODEL, fg.SphereSpec(X, 0.25), x_t)
+    point = fg.FluxPoint(x_t, fg.gradient(MODEL, x_t), (x_t - X) / 0.25)
     est = fg.IntegralEstimate(value, se, 5)
     amap = fg.AttributionMap([0.5, -1.5], "ig", params)
     x_t[0], value[0], se[0], params["epsilon"] = 5.0, 5.0, 5.0, 9.0
